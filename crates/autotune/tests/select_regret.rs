@@ -39,6 +39,7 @@ proptest! {
     /// structurally valid, and the ranking covers the whole per-size grid
     /// exactly once.
     #[test]
+    #[ignore = "heavy: runs in the release CI step with --include-ignored"]
     fn analytic_candidates_stay_inside_the_paper_space(
         n in 1..=64usize,
         spec_idx in 0..4usize,
@@ -66,6 +67,7 @@ proptest! {
 /// analytic early-stopped search must sit within 5% of the exhaustive
 /// winner's time while evaluating strictly fewer configurations.
 #[test]
+#[ignore = "heavy: runs in the release CI step with --include-ignored"]
 fn analytic_search_is_within_five_percent_of_exhaustive() {
     let space = ParamSpace::quick();
     let spec = GpuSpec::p100();
@@ -120,6 +122,7 @@ fn analytic_search_is_within_five_percent_of_exhaustive() {
 /// index, and re-running against the same log resumes every measurement
 /// instead of re-measuring.
 #[test]
+#[ignore = "heavy: runs in the release CI step with --include-ignored"]
 fn analytic_log_is_resumable_and_verifiable() {
     let space = ParamSpace::quick();
     let spec = GpuSpec::p100();

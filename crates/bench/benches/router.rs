@@ -13,10 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ibcf_core::spd::{random_spd, SpdKind};
-use ibcf_service::router::SubmitRefusal;
 use ibcf_service::{
-    EngineSelector, InProcessShard, Payload, ReplySink, RoutePolicy, Router, RouterConfig, Service,
-    ServiceConfig, ShardBackend, StatsSnapshot,
+    EngineSelector, Frontend, InProcessShard, Kind, Payload, ReplySink, RoutePolicy, Router,
+    RouterConfig, Service, ServiceConfig, ShardBackend, StatsSnapshot, SubmitRefusal,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,6 +47,7 @@ impl ShardBackend for InstantShard {
 
     fn try_submit(
         &self,
+        _kind: Kind,
         id: u64,
         _n: usize,
         payload: Payload,
@@ -59,17 +59,6 @@ impl ShardBackend for InstantShard {
             outcome: ibcf_service::Outcome::Factor(payload),
         });
         Ok(())
-    }
-
-    fn try_submit_large(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal> {
-        self.try_submit(id, n, payload, deadline, sink)
     }
 
     fn probe(&self) -> bool {
@@ -110,7 +99,14 @@ fn bench_routing_overhead(c: &mut Criterion) {
         };
         b.iter(|| {
             let ok = shard
-                .try_submit(1, N, black_box(payload()), None, ReplySink::boxed(drop))
+                .try_submit(
+                    Kind::Batch,
+                    1,
+                    N,
+                    black_box(payload()),
+                    None,
+                    ReplySink::boxed(drop),
+                )
                 .is_ok();
             assert!(ok);
         });
@@ -141,7 +137,8 @@ fn bench_routing_overhead(c: &mut Criterion) {
                     id += 1;
                     // Vary n so rendezvous can't cache a single key.
                     let n = 2 + (id % 14) as usize;
-                    client.submit_sink(
+                    client.submit_kind(
+                        Kind::Batch,
                         id,
                         n,
                         black_box(Payload::F32(vec![1.0; n * n])),
@@ -188,7 +185,8 @@ fn bench_routing_overhead(c: &mut Criterion) {
             b.iter(|| {
                 id += 1;
                 let n = 2 + (id % 14) as usize;
-                client.submit_sink(
+                client.submit_kind(
+                    Kind::Batch,
                     id,
                     n,
                     black_box(Payload::F32(vec![1.0; n * n])),
@@ -254,7 +252,7 @@ fn bench_fleet_end_to_end(c: &mut Criterion) {
             .collect();
         let router = Router::start(backends, RouterConfig::default());
         let client = router.client();
-        b.iter(|| run_round(&|id, p, sink| client.submit_sink(id, N, p, None, sink)));
+        b.iter(|| run_round(&|id, p, sink| client.submit_kind(Kind::Batch, id, N, p, None, sink)));
         router.shutdown();
     });
 

@@ -76,11 +76,13 @@ commands:
             [--max-batch B] [--max-delay-us D] [--max-n N] [--dispatch F]
             [--analytic G] [--shards N] [--procs N] [--shard-child]
             [--policy hash|least-loaded] [--retry-after-us U]
-            [--hedge-after-us U] [--autovec] [--staged-ingest]
-            run the dynamic-batching factorization service over TCP
-            (engine plans fall back table -> analytic model for gpu G
-            -> heuristics; each tier is optional); --shards N > 1 runs a
-            health-checked in-process fleet behind a router keyed by
+            [--hedge-after-us U]
+            run the dynamic-batching factorization service over TCP;
+            small requests (n <= N) are batched, large ones (n <= 1024)
+            run on a task-graph pool, and both kinds share one submit
+            path (engine plans fall back table -> analytic model for
+            gpu G -> heuristics; each tier is optional); --shards N > 1
+            runs a health-checked in-process fleet behind a router keyed by
             (n, dtype) — a full shard answers with a typed backpressure
             reject carrying the --retry-after-us hint; --procs N runs
             each shard as a supervised *child process* instead
@@ -90,10 +92,9 @@ commands:
             straggling request to a second shard after U us (first
             reply wins, the duplicate is suppressed); --shard-child is
             the child's own mode: bind an ephemeral port, print
-            'shard-child listening on H:P', serve one shard; --autovec
-            pins workers to the autovectorized lane kernels (no
-            explicit SIMD); --staged-ingest restores the legacy
-            stage-then-pack copy instead of the fused zero-copy scatter
+            'shard-child listening on H:P', serve one shard;
+            IBCF_SIMD=off pins workers (and shard children, which
+            inherit it) to the autovectorized lane kernels
   loadgen   [--addr H:P] [--sizes 16,24] [--dtype f32|f64]
             [--requests R] [--conns C] [--window W | --rate R/s]
             [--plant-bad K] [--seed S] [--deadline-us D] [--retry]
@@ -1099,8 +1100,8 @@ pub fn tiled_bench(args: &Args) -> i32 {
 /// fleet with health-checked failover and typed backpressure.
 pub fn serve(args: &Args) -> i32 {
     use ibcf_service::{
-        EngineSelector, Fleet, FleetConfig, InProcessShard, IngestMode, RoutePolicy, Router,
-        RouterConfig, Service, ServiceConfig, ShardBackend, TcpServer, SHARD_READY_PREFIX,
+        EngineSelector, Fleet, FleetConfig, InProcessShard, RoutePolicy, Router, RouterConfig,
+        Service, ServiceConfig, ShardBackend, TcpServer, SHARD_READY_PREFIX,
     };
     use std::sync::Arc;
     let host = match args.get("host", "127.0.0.1".to_string()) {
@@ -1168,23 +1169,12 @@ pub fn serve(args: &Args) -> i32 {
             None => return fail(format!("unknown gpu {name} for --analytic")),
         },
     };
-    let selector = if args.flag("autovec") {
-        selector.with_backend(LaneBackend::Autovec)
-    } else {
-        selector
-    };
-    let ingest = if args.flag("staged-ingest") {
-        IngestMode::Staged
-    } else {
-        IngestMode::Fused
-    };
     let config = ServiceConfig {
         workers,
         queue_cap,
         max_batch,
         max_delay: std::time::Duration::from_micros(max_delay_us),
         max_n,
-        ingest,
         ..ServiceConfig::default()
     };
     // A shard child binds an ephemeral port: its supervisor learns the
@@ -1204,11 +1194,7 @@ pub fn serve(args: &Args) -> i32 {
         (false, true) => "analytic",
         (false, false) => "heuristic",
     };
-    let simd = if args.flag("autovec") {
-        "autovec"
-    } else {
-        detect_isa().name()
-    };
+    let simd = detect_isa().name();
     use std::io::Write as _;
     let hedge_after =
         (hedge_after_us > 0).then(|| std::time::Duration::from_micros(hedge_after_us));
@@ -1245,12 +1231,6 @@ pub fn serve(args: &Args) -> i32 {
         if let Some(g) = args.options.get("analytic") {
             child_args.extend(["--analytic".into(), g.clone()]);
         }
-        if args.flag("autovec") {
-            child_args.push("--autovec".into());
-        }
-        if args.flag("staged-ingest") {
-            child_args.push("--staged-ingest".into());
-        }
         fleet_cfg.child_args = child_args;
         let mut fleet = match Fleet::spawn(fleet_cfg) {
             Ok(f) => f,
@@ -1266,11 +1246,10 @@ pub fn serve(args: &Args) -> i32 {
             },
         );
         println!(
-            "serving on {addr} ({engine} engine, simd {simd}, {} ingest, \
+            "serving on {addr} ({engine} engine, simd {simd}, \
              {procs} shard process(es) x {workers} worker(s), \
              {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})",
-            ingest.name()
+             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})"
         );
         println!("fleet pids: {:?}", fleet.child_pids());
         std::io::stdout().flush().ok();
@@ -1302,11 +1281,10 @@ pub fn serve(args: &Args) -> i32 {
             },
         );
         println!(
-            "serving on {addr} ({engine} engine, simd {simd}, {} ingest, \
+            "serving on {addr} ({engine} engine, simd {simd}, \
              {shards} shards x {workers} worker(s), \
              {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})",
-            ingest.name()
+             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})"
         );
         std::io::stdout().flush().ok();
         let run = server.run(router.client());
@@ -1315,10 +1293,9 @@ pub fn serve(args: &Args) -> i32 {
         let service = Service::start(config, selector);
         let client = service.client();
         println!(
-            "serving on {addr} ({engine} engine, simd {simd}, {} ingest, \
+            "serving on {addr} ({engine} engine, simd {simd}, \
              {workers} worker(s), batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}, n <= {max_n})",
-            ingest.name()
+             deadline {max_delay_us} us, queue {queue_cap}, n <= {max_n})"
         );
         std::io::stdout().flush().ok();
         let run = server.run(client);
@@ -1480,8 +1457,8 @@ pub fn loadgen(args: &Args) -> i32 {
 pub fn chaos(args: &Args) -> i32 {
     use ibcf_service::{
         ArrivalMode, Dtype, EngineSelector, FaultHook, FaultPlan, Fleet as ProcFleet, FleetConfig,
-        InProcessShard, LoadgenConfig, RetryPolicy, Router, RouterConfig, Service, ServiceConfig,
-        ShardBackend, TcpConn, TcpServer,
+        Frontend, InProcessShard, LoadgenConfig, RetryPolicy, Router, RouterConfig, Service,
+        ServiceConfig, ShardBackend, TcpConn, TcpServer,
     };
     use std::sync::Arc;
     use std::time::{Duration, Instant};

@@ -58,6 +58,7 @@ fn line_count(path: &Path) -> usize {
 }
 
 #[test]
+#[ignore = "heavy: runs in the release CI step with --include-ignored"]
 fn killed_sweep_resumes_to_identical_dataset() {
     let dir = tmpdir("resume");
     let ref_log = dir.join("ref.log");
@@ -121,6 +122,7 @@ fn killed_sweep_resumes_to_identical_dataset() {
 }
 
 #[test]
+#[ignore = "heavy: runs in the release CI step with --include-ignored"]
 fn sharded_sweeps_merge_to_the_unsharded_dataset() {
     let dir = tmpdir("shards");
     let ref_log = dir.join("ref.log");

@@ -18,11 +18,12 @@
 //! | 7    | large req     | same body as factor req |
 //!
 //! A *large* request (kind 7) shares the factor-request body byte for
-//! byte — only the kind differs. The kind is the routing decision: kind 1
-//! enters the batch former and is packed with its cohort, kind 7 bypasses
-//! the former entirely and is scheduled on the task-graph worker pool
-//! (large matrices don't batch — they schedule). Replies for both kinds
-//! travel as kind 2.
+//! byte — only the kind differs, and it decodes one-to-one to a
+//! [`Kind`](crate::request::Kind). The kind is the routing decision: kind
+//! 1 enters the batch former and is packed with its cohort, kind 7
+//! bypasses the former entirely and is scheduled on the task-graph worker
+//! pool (large matrices don't batch — they schedule). Replies for both
+//! kinds travel as kind 2.
 //!
 //! Reply `status`: 0 = factor (elements follow), 1 = not SPD (`aux` =
 //! failing column), 2 = non-finite (`aux` = column), 3 = rejected

@@ -134,10 +134,10 @@ impl EngineSelector {
         self
     }
 
-    /// Forces every plan this selector produces onto `backend` — the
-    /// `serve --autovec` escape hatch and the A/B axis of the service
-    /// benches. The default is [`LaneBackend::Auto`] (SIMD where the
-    /// machine has it).
+    /// Forces every plan this selector produces onto `backend` (the
+    /// service benches pin [`LaneBackend::Simd`]). The default is
+    /// [`LaneBackend::Auto`]: SIMD where the machine has it, unless
+    /// `IBCF_SIMD` lowers the ceiling.
     pub fn with_backend(mut self, backend: LaneBackend) -> Self {
         self.backend = backend;
         self

@@ -34,9 +34,9 @@
 //!   retains capacity.
 
 use crate::fault::{FaultAction, FaultHook, FaultSite};
-use crate::request::{Payload, ReplySink};
+use crate::request::{Kind, Payload, RejectReason, ReplySink, SubmitRefusal};
 use crate::retry::RetryPolicy;
-use crate::router::{ShardBackend, SubmitRefusal, TcpShard};
+use crate::router::{ShardBackend, TcpShard};
 use crate::server::TcpConn;
 use crate::stats::StatsSnapshot;
 use std::io::{self, BufRead, BufReader};
@@ -260,36 +260,18 @@ impl ShardBackend for ProcessShard {
 
     fn try_submit(
         &self,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
         deadline: Option<Instant>,
         sink: ReplySink,
     ) -> Result<(), SubmitRefusal> {
-        use crate::request::RejectReason;
         if self.killed.load(Ordering::SeqCst) {
             return Err((RejectReason::ShuttingDown, payload, sink));
         }
         match self.conn() {
-            Some(tcp) => tcp.try_submit(id, n, payload, deadline, sink),
-            None => Err((RejectReason::ShuttingDown, payload, sink)),
-        }
-    }
-
-    fn try_submit_large(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal> {
-        use crate::request::RejectReason;
-        if self.killed.load(Ordering::SeqCst) {
-            return Err((RejectReason::ShuttingDown, payload, sink));
-        }
-        match self.conn() {
-            Some(tcp) => tcp.try_submit_large(id, n, payload, deadline, sink),
+            Some(tcp) => tcp.try_submit(kind, id, n, payload, deadline, sink),
             None => Err((RejectReason::ShuttingDown, payload, sink)),
         }
     }

@@ -15,15 +15,15 @@
 //! group full and no scalar tail, and no element of a payload is copied
 //! more than once. The original stage-into-canonical-then-
 //! [`pack_batch_host`](ibcf_kernels::pack_batch_host) round trip (one
-//! extra full copy of the batch) is kept as [`IngestMode::Staged`]: it is
-//! the bitwise reference the fused path is property-tested against, and a
-//! live A/B axis for the service benches.
+//! extra full copy of the batch) survives only as [`IngestMode::Staged`],
+//! the bitwise oracle the fused path is property-tested against; the
+//! former itself always runs the fused path.
 
 use crate::engine::{EnginePlan, EngineSelector};
 use crate::fault::{FaultAction, FaultHook, FaultSite};
 use crate::queue::IngestQueue;
 use crate::request::{Dtype, FactorReply, Outcome, Payload, Pending, RejectReason};
-use crate::stats::ServiceStats;
+use crate::stats::{Answer, ServiceStats};
 use ibcf_core::Real;
 use ibcf_kernels::pack_batch_host;
 use ibcf_layout::{alloc_batch, scatter_batch_affine, AlignedVec, BatchLayout, Canonical, Layout};
@@ -32,27 +32,18 @@ use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a flushed group becomes a packed batch buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How [`form_batch_mode`] turns a group into a packed batch buffer.
+/// The former always packs [`IngestMode::Fused`]; `Staged` exists only
+/// as the bitwise oracle the fused path is checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
     /// Scatter each payload once, directly into the aligned lane-group
     /// buffer in the plan's interleave; identity-pad the tail in place.
-    #[default]
     Fused,
-    /// Legacy reference path: stage payloads into a canonical buffer,
+    /// Reference path: stage payloads into a canonical buffer,
     /// identity-pad, then transcode the whole batch with
     /// [`pack_batch_host`] — one extra full copy.
     Staged,
-}
-
-impl IngestMode {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            IngestMode::Fused => "fused",
-            IngestMode::Staged => "staged",
-        }
-    }
 }
 
 /// Batch-forming policy.
@@ -66,8 +57,6 @@ pub struct FormerConfig {
     /// worker has a chance to finish inside the deadline instead of the
     /// former holding the request until the deadline itself.
     pub deadline_margin: Duration,
-    /// How flushed groups are packed ([`IngestMode::Fused`] by default).
-    pub ingest: IngestMode,
 }
 
 impl Default for FormerConfig {
@@ -76,7 +65,6 @@ impl Default for FormerConfig {
             max_batch: 1024,
             max_delay: Duration::from_millis(1),
             deadline_margin: Duration::from_micros(200),
-            ingest: IngestMode::Fused,
         }
     }
 }
@@ -199,26 +187,15 @@ fn pack_group<T: Real>(
     }
 }
 
-/// Builds a [`FormedBatch`] from one flushed group via the default
-/// (fused, zero-copy) ingest path.
+/// Builds a [`FormedBatch`] from one flushed group via the fused,
+/// zero-copy ingest path the former runs.
 pub fn form_batch(n: usize, dtype: Dtype, reqs: Vec<Pending>, plan: EnginePlan) -> FormedBatch {
     form_batch_mode(n, dtype, reqs, plan, IngestMode::Fused)
 }
 
-/// Builds a [`FormedBatch`] via the legacy stage-then-pack reference
-/// path. Bitwise-identical output to [`form_batch`] (property-tested);
-/// exists as the equivalence oracle and bench baseline.
-pub fn form_batch_staged(
-    n: usize,
-    dtype: Dtype,
-    reqs: Vec<Pending>,
-    plan: EnginePlan,
-) -> FormedBatch {
-    form_batch_mode(n, dtype, reqs, plan, IngestMode::Staged)
-}
-
 /// Builds a [`FormedBatch`] from one flushed group with an explicit
-/// [`IngestMode`].
+/// [`IngestMode`]; both modes produce bitwise-identical batches
+/// (property-tested).
 pub fn form_batch_mode(
     n: usize,
     dtype: Dtype,
@@ -273,24 +250,22 @@ impl Group {
 }
 
 /// Sheds a request whose deadline already passed: the caller promised it
-/// would never pay for a factorization it can't use.
-fn shed(p: Pending, stats: &ServiceStats) {
-    let id = p.id;
-    p.sink.send(FactorReply {
-        id,
-        outcome: Outcome::Rejected(RejectReason::DeadlineExceeded),
+/// would never pay for a factorization it can't use. Both pools shed
+/// through here — the former before packing, the large workers before
+/// factorizing.
+pub(crate) fn shed(p: Pending, stats: &ServiceStats) {
+    let Pending {
+        id, enqueued, sink, ..
+    } = p;
+    stats.deliver(enqueued, Answer::Shed, || {
+        sink.send(FactorReply {
+            id,
+            outcome: Outcome::Rejected(RejectReason::DeadlineExceeded),
+        })
     });
-    // Counters bump after delivery: `Client::drained` counts
-    // `deadline_expired` as an answered admitted request.
-    stats
-        .deadline_expired
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    stats
-        .rejected
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 }
 
-fn expired(p: &Pending, now: Instant) -> bool {
+pub(crate) fn expired(p: &Pending, now: Instant) -> bool {
     p.deadline.is_some_and(|d| now >= d)
 }
 
@@ -322,9 +297,8 @@ pub fn run_former(
             return;
         }
         let plan = selector.plan(n);
-        let batch = form_batch_mode(n, dtype, live, plan, config.ingest);
+        let batch = form_batch(n, dtype, live, plan);
         stats.record_batch(batch.reqs.len(), batch.slots);
-        stats.record_ingest(config.ingest == IngestMode::Fused);
         if let Err(send_err) = out.send(batch) {
             // Workers are gone (shutdown race): fail the requests rather
             // than dropping them silently.
@@ -651,11 +625,13 @@ mod tests {
         let queue = Arc::new(IngestQueue::new(4096));
         let stats = Arc::new(ServiceStats::default());
         let (tx, rx) = sync_channel(8);
+        // Slack far above scheduler delay: a former thread that wakes a
+        // few ms late under load must still flush this request, not shed
+        // it as expired.
         let config = FormerConfig {
             max_batch: 1024,                      // size never fires
             max_delay: Duration::from_secs(3600), // age never fires
-            deadline_margin: Duration::from_millis(5),
-            ..FormerConfig::default()
+            deadline_margin: Duration::from_secs(1),
         };
         let (q2, s2) = (queue.clone(), stats.clone());
         let handle = std::thread::spawn(move || {
@@ -669,7 +645,7 @@ mod tests {
             )
         });
         let mut p = req(7, 8, 1.0);
-        let deadline = Instant::now() + Duration::from_millis(40);
+        let deadline = Instant::now() + Duration::from_secs(2);
         p.deadline = Some(deadline);
         queue.try_push(p).unwrap();
         // Without deadline propagation this would sit for an hour; the

@@ -4,25 +4,29 @@
 //! small SPD matrices in one interleaved buffer. This crate closes the
 //! loop for the serving case where matrices arrive one at a time:
 //!
-//! 1. an [`IngestQueue`](queue::IngestQueue) admits requests under a
-//!    hard bound (non-blocking rejection or blocking backpressure);
-//! 2. a [former](former) groups them by `(n, dtype)` and flushes each
-//!    group on a size threshold or a deadline, scattering each payload
-//!    **once** directly into a 128-byte-aligned interleaved buffer
-//!    padded in place to a full lane group (the fused zero-copy ingest
-//!    path; the legacy stage-then-pack round trip survives as
-//!    [`IngestMode::Staged`](former::IngestMode) for A/B reference) —
-//!    shedding any request whose own deadline already expired;
-//! 3. a supervised worker pool factorizes each batch in place with the
-//!    lane-vectorized engine — explicit AVX2/AVX-512 kernels where the
-//!    CPU has them, autovectorized fallback otherwise — under the
-//!    layout/order the
+//! 1. every request carries its [`Kind`] as a value, and
+//!    [`Client`] admission is the one place that acts on it: a
+//!    [`Kind::Batch`] request enters an
+//!    [`IngestQueue`](queue::IngestQueue) under a hard bound
+//!    (non-blocking rejection or blocking backpressure), a
+//!    [`Kind::Large`] one the task-graph pool's queue;
+//! 2. a [former](former) groups batched requests by `(n, dtype)` and
+//!    flushes each group on a size threshold or a deadline, scattering
+//!    each payload **once** directly into a 128-byte-aligned interleaved
+//!    buffer padded in place to a full lane group (the fused zero-copy
+//!    ingest path) — shedding any request whose own deadline already
+//!    expired;
+//! 3. two supervised worker pools run one implementation: the batch
+//!    pool factorizes each batch in place with the lane-vectorized
+//!    engine — explicit AVX2/AVX-512 kernels where the CPU has them,
+//!    autovectorized fallback otherwise — under the layout/order the
 //!    [`EngineSelector`](engine::EngineSelector) picked from a tuned
 //!    [`DispatchTable`](ibcf_autotune::DispatchTable) (heuristics when
-//!    no sweep log exists), and routes per-matrix failures back to
-//!    exactly the originating request; a panicking batch yields typed
-//!    [`Outcome::WorkerCrashed`] replies and a restarted worker, never
-//!    a dead process;
+//!    no sweep log exists), and the large pool factorizes each large
+//!    matrix in place with the task-graph runtime. Per-matrix failures
+//!    route back to exactly the originating request; a panicking job
+//!    yields typed [`Outcome::WorkerCrashed`] replies and a restarted
+//!    worker, never a dead process;
 //! 4. [`ServiceStats`](stats::ServiceStats) tracks counters, a batch
 //!    occupancy histogram, and reply-latency percentiles;
 //! 5. a std::net TCP front-end ([`server`]) speaks a length-prefixed
@@ -70,7 +74,9 @@ pub use fleet::{Fleet, FleetConfig, ProcessShard, SHARD_READY_PREFIX};
 pub use former::{FormerConfig, IngestMode, PackedData};
 pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig};
 pub use queue::PushRefused;
-pub use request::{Dtype, FactorReply, Outcome, Payload, RejectReason, ReplySink};
+pub use request::{
+    Dtype, FactorReply, Kind, Outcome, Payload, RejectReason, ReplySink, SubmitRefusal,
+};
 pub use retry::RetryPolicy;
 pub use router::{
     InProcessShard, RoutePolicy, Router, RouterClient, RouterConfig, ShardBackend, TcpShard,

@@ -1,7 +1,41 @@
 //! Request and reply types shared by the in-process client, the batch
 //! former, and the TCP codec.
 
+use crate::codec::{K_FACTOR_REQ, K_LARGE_REQ};
 use std::time::Instant;
+
+/// Which serving path a request takes. The kind travels as a value
+/// through every layer — TCP reader, router, shard backend — and only
+/// [`Client`](crate::service::Client) admission acts on it, by picking
+/// the queue (and the dimension bound) it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A small matrix: packed by the former into a batch with its
+    /// `(n, dtype)` cohort.
+    Batch,
+    /// A large matrix: factorized alone, in place, by the task-graph
+    /// pool (large matrices don't batch — they schedule).
+    Large,
+}
+
+impl Kind {
+    /// The request frame kind that carries this request kind.
+    pub fn wire(self) -> u8 {
+        match self {
+            Kind::Batch => K_FACTOR_REQ,
+            Kind::Large => K_LARGE_REQ,
+        }
+    }
+
+    /// Inverse of [`Kind::wire`]; `None` for any other frame kind.
+    pub fn from_wire(frame_kind: u8) -> Option<Kind> {
+        match frame_kind {
+            K_FACTOR_REQ => Some(Kind::Batch),
+            K_LARGE_REQ => Some(Kind::Large),
+            _ => None,
+        }
+    }
+}
 
 /// Element type of a request's matrix payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -277,6 +311,11 @@ impl std::fmt::Debug for ReplySink {
         })
     }
 }
+
+/// A refusal from a non-blocking admission: nothing was delivered
+/// through the sink, so the caller still owns the request and can
+/// re-route it or reject it.
+pub type SubmitRefusal = (RejectReason, Payload, ReplySink);
 
 /// A queued request: payload plus everything needed to route and time the
 /// reply.

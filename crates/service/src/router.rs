@@ -45,17 +45,21 @@
 //!   (already-admitted work is still answered — exactly-one-reply
 //!   survives shard death) and refuses to kill the last healthy shard.
 //!
+//! Both request kinds take this one path: a request's [`Kind`] rides
+//! along as a value — through failover, `ShardLost` resubmission and
+//! hedge copies — and only the admitting shard acts on it.
+//!
 //! The [`RouterClient`] implements [`Frontend`], so the TCP server can
-//! front a whole fleet exactly as it fronts one service, and
-//! [`RouterClient::stats`] reports the fleet merge (via
+//! front a whole fleet exactly as it fronts one service, and its
+//! [`Frontend::stats`] reports the fleet merge (via
 //! [`StatsSnapshot::merge`]) with a per-shard breakdown attached.
 
 use crate::codec::{
     decode_factor_reply, encode_factor_req, read_frame, wire_deadline_us, write_frame,
-    K_FACTOR_REPLY, K_FACTOR_REQ, K_LARGE_REQ,
+    K_FACTOR_REPLY,
 };
 use crate::fault::{FaultAction, FaultHook, FaultSite};
-use crate::request::{FactorReply, Outcome, Payload, RejectReason, ReplySink};
+use crate::request::{FactorReply, Kind, Outcome, Payload, RejectReason, ReplySink, SubmitRefusal};
 use crate::retry::RetryPolicy;
 use crate::server::TcpConn;
 use crate::service::{Client, Frontend, Service};
@@ -68,32 +72,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A refusal handed back by [`ShardBackend::try_submit`]: nothing was
-/// delivered through the sink, so the router still owns the request.
-pub type SubmitRefusal = (RejectReason, Payload, ReplySink);
-
 /// One backend the router can route to.
 pub trait ShardBackend: Send + Sync {
     /// Display name (stable for the life of the fleet, e.g. `shard-0`).
     fn name(&self) -> &str;
 
-    /// Non-blocking admission. `Ok` means the shard owns the request and
-    /// will invoke the sink exactly once; `Err` hands reason, payload,
-    /// and sink back untouched so the router can re-route or reject.
+    /// Non-blocking admission of a request of either kind; the kind
+    /// passes through untouched to the shard's own admission. `Ok` means
+    /// the shard owns the request and will invoke the sink exactly once;
+    /// `Err` hands reason, payload, and sink back untouched so the router
+    /// can re-route or reject.
     fn try_submit(
         &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal>;
-
-    /// Non-blocking admission for a *large* request, bound for the
-    /// shard's task-graph pool instead of its batch former. Same
-    /// ownership contract as [`ShardBackend::try_submit`].
-    fn try_submit_large(
-        &self,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
@@ -158,24 +149,14 @@ impl ShardBackend for InProcessShard {
 
     fn try_submit(
         &self,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
         deadline: Option<Instant>,
         sink: ReplySink,
     ) -> Result<(), SubmitRefusal> {
-        self.client.try_submit(id, n, payload, deadline, sink)
-    }
-
-    fn try_submit_large(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal> {
-        self.client.try_submit_large(id, n, payload, deadline, sink)
+        self.client.try_submit(kind, id, n, payload, deadline, sink)
     }
 
     fn probe(&self) -> bool {
@@ -370,13 +351,18 @@ impl TcpShard {
         });
         true
     }
+}
 
-    /// Shared wire path for both request kinds: the frame bodies are
-    /// identical, only the kind byte tells the remote shard whether to
-    /// batch (former) or schedule (task-graph pool).
-    fn submit_kind(
+impl ShardBackend for TcpShard {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Both request kinds share one frame body; only the frame kind byte
+    /// ([`Kind::wire`]) tells the remote shard which pool to admit to.
+    fn try_submit(
         &self,
-        kind: u8,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
@@ -405,7 +391,7 @@ impl TcpShard {
             wire_deadline_us(deadline.map(|d| d.saturating_duration_since(Instant::now())));
         let body = encode_factor_req(wire_id, n, wire_deadline, &payload);
         let mut w = &c.stream;
-        if write_frame(&mut w, kind, &body).is_err() {
+        if write_frame(&mut w, kind.wire(), &body).is_err() {
             c.stream.shutdown(Shutdown::Both).ok();
             return match c.pending.lock().unwrap().map.remove(&wire_id) {
                 // We still own the sink: hand everything back.
@@ -416,34 +402,6 @@ impl TcpShard {
             };
         }
         Ok(())
-    }
-}
-
-impl ShardBackend for TcpShard {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn try_submit(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal> {
-        self.submit_kind(K_FACTOR_REQ, id, n, payload, deadline, sink)
-    }
-
-    fn try_submit_large(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal> {
-        self.submit_kind(K_LARGE_REQ, id, n, payload, deadline, sink)
     }
 
     fn probe(&self) -> bool {
@@ -736,11 +694,11 @@ impl SharedSink {
 /// than `primary`.
 struct HedgeEntry {
     fire_at: Instant,
+    kind: Kind,
     id: u64,
     n: usize,
     payload: Payload,
     deadline: Option<Instant>,
-    large: bool,
     shared: Arc<SharedSink>,
     primary: usize,
 }
@@ -798,46 +756,22 @@ impl RouterCore {
         healthy
     }
 
+    /// The routing loop, the same for both request kinds: `kind` only
+    /// passes through to the shard that admits the request. `fresh` is
+    /// true for a caller-originated submit (which may arm a hedge and a
+    /// loss guard) and false for the router's own recovery traffic — a
+    /// `ShardLost` resubmission must not recursively arm further
+    /// recovery, which is what bounds the failover to exactly one
+    /// resubmit.
+    #[allow(clippy::too_many_arguments)]
     fn submit(
         self: &Arc<Self>,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
         deadline: Option<Instant>,
         sink: ReplySink,
-    ) {
-        self.submit_inner(id, n, payload, deadline, sink, false, true);
-    }
-
-    /// Routes a large request: same shard selection, failover, and
-    /// backpressure discipline as [`RouterCore::submit`], but admission
-    /// goes through [`ShardBackend::try_submit_large`] so the owning
-    /// shard schedules the matrix on its task-graph pool.
-    fn submit_large(
-        self: &Arc<Self>,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) {
-        self.submit_inner(id, n, payload, deadline, sink, true, true);
-    }
-
-    /// The routing loop. `fresh` is true for a caller-originated submit
-    /// (which may arm a hedge and a loss guard) and false for the
-    /// router's own recovery traffic — a `ShardLost` resubmission or a
-    /// hedge copy must not recursively arm further recovery, which is
-    /// what bounds the failover to exactly one resubmit.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_inner(
-        self: &Arc<Self>,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-        large: bool,
         fresh: bool,
     ) {
         let reject = |sink: ReplySink, reason: RejectReason| {
@@ -895,7 +829,7 @@ impl RouterCore {
                         slot.breaker.record_failure(core.breaker_threshold);
                     }
                     core.shard_lost_resubmits.fetch_add(1, Ordering::Relaxed);
-                    core.submit_inner(id, n, retry_payload, deadline, inner, large, false);
+                    core.submit(kind, id, n, retry_payload, deadline, inner, false);
                 } else {
                     inner.send(reply);
                 }
@@ -913,13 +847,10 @@ impl RouterCore {
             if let Some(cell) = &admitted_to {
                 cell.store(i as u64, Ordering::SeqCst);
             }
-            let admitted = if large {
-                slot.backend
-                    .try_submit_large(id, n, payload, deadline, sink)
-            } else {
-                slot.backend.try_submit(id, n, payload, deadline, sink)
-            };
-            match admitted {
+            match slot
+                .backend
+                .try_submit(kind, id, n, payload, deadline, sink)
+            {
                 Ok(()) => {
                     slot.routed.fetch_add(1, Ordering::Relaxed);
                     if slot.breaker.record_success() {
@@ -930,11 +861,11 @@ impl RouterCore {
                     {
                         self.hedge_queue.lock().unwrap().push(HedgeEntry {
                             fire_at: Instant::now() + delay,
+                            kind,
                             id,
                             n,
                             payload: hp,
                             deadline,
-                            large,
                             shared,
                             primary: i,
                         });
@@ -1024,13 +955,9 @@ impl RouterCore {
                 }
             });
             let slot = &self.slots[alt];
-            let admitted = if e.large {
-                slot.backend
-                    .try_submit_large(e.id, e.n, e.payload, e.deadline, sink)
-            } else {
-                slot.backend
-                    .try_submit(e.id, e.n, e.payload, e.deadline, sink)
-            };
+            let admitted = slot
+                .backend
+                .try_submit(e.kind, e.id, e.n, e.payload, e.deadline, sink);
             if admitted.is_ok() {
                 slot.routed.fetch_add(1, Ordering::Relaxed);
                 self.hedges.fetch_add(1, Ordering::Relaxed);
@@ -1239,47 +1166,35 @@ impl Router {
     }
 }
 
-/// Cloneable handle routing submissions across the fleet; the router's
-/// [`Frontend`] implementation.
+/// Cloneable handle routing submissions across the fleet: the router's
+/// [`Frontend`].
 #[derive(Clone)]
 pub struct RouterClient {
     core: Arc<RouterCore>,
 }
 
-impl RouterClient {
+impl Frontend for RouterClient {
     /// Routes one request; the reply arrives through `sink` exactly once
     /// (inline for rejections and backpressure).
-    pub fn submit_sink(
+    fn submit_kind(
         &self,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
         deadline: Option<Instant>,
         sink: ReplySink,
     ) {
-        self.core.submit(id, n, payload, deadline, sink);
-    }
-
-    /// Routes one *large* request onto a shard's task-graph pool; same
-    /// exactly-once sink contract as [`RouterClient::submit_sink`].
-    pub fn submit_large_sink(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) {
-        self.core.submit_large(id, n, payload, deadline, sink);
+        self.core.submit(kind, id, n, payload, deadline, sink, true);
     }
 
     /// Fleet-merged counters with the per-shard breakdown attached.
-    pub fn stats(&self) -> StatsSnapshot {
+    fn stats(&self) -> StatsSnapshot {
         self.core.fleet_snapshot()
     }
 
     /// Stops admission fleet-wide; queued work keeps draining.
-    pub fn begin_drain(&self) {
+    fn begin_drain(&self) {
         for slot in &self.core.slots {
             slot.healthy.store(false, Ordering::SeqCst);
             slot.backend.kill();
@@ -1287,47 +1202,8 @@ impl RouterClient {
     }
 
     /// `true` once every shard answered everything it admitted.
-    pub fn drained(&self) -> bool {
-        self.core.slots.iter().all(|s| s.backend.drained())
-    }
-}
-
-impl Frontend for RouterClient {
-    fn submit_sink(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-        _blocking: bool,
-    ) {
-        // The router never blocks: a full shard queue is a typed
-        // backpressure reject, whatever the caller asked for.
-        RouterClient::submit_sink(self, id, n, payload, deadline, sink);
-    }
-
-    fn submit_large_sink(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) {
-        RouterClient::submit_large_sink(self, id, n, payload, deadline, sink);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        RouterClient::stats(self)
-    }
-
-    fn begin_drain(&self) {
-        RouterClient::begin_drain(self);
-    }
-
     fn drained(&self) -> bool {
-        RouterClient::drained(self)
+        self.core.slots.iter().all(|s| s.backend.drained())
     }
 }
 
@@ -1341,15 +1217,18 @@ mod tests {
     use std::sync::mpsc;
 
     /// A scripted backend: refuses with a fixed reason, or accepts and
-    /// echoes the payload back as a factor. Can also be scripted to
-    /// *lose* the next accepted request (typed `ShardLost`, like a
-    /// process death) or to *hold* accepted sinks unanswered (a
-    /// straggler, for hedging tests).
+    /// echoes the payload back as a factor, recording each accepted
+    /// request's id and kind. Can also be scripted to refuse only the
+    /// next submit while still probing healthy (a shard that dies
+    /// between health rounds), to *lose* the next accepted request
+    /// (typed `ShardLost`, like a process death), or to *hold* accepted
+    /// sinks unanswered (a straggler, for hedging tests).
     struct TestBackend {
         name: String,
         refuse: Mutex<Option<RejectReason>>,
-        accepted: Mutex<Vec<u64>>,
+        accepted: Mutex<Vec<(u64, Kind)>>,
         load: AtomicUsize,
+        refuse_next: AtomicBool,
         can_lose: AtomicBool,
         lose_next: AtomicBool,
         hold: AtomicBool,
@@ -1363,6 +1242,7 @@ mod tests {
                 refuse: Mutex::new(None),
                 accepted: Mutex::new(Vec::new()),
                 load: AtomicUsize::new(0),
+                refuse_next: AtomicBool::new(false),
                 can_lose: AtomicBool::new(false),
                 lose_next: AtomicBool::new(false),
                 hold: AtomicBool::new(false),
@@ -1375,7 +1255,18 @@ mod tests {
         }
 
         fn accepted_ids(&self) -> Vec<u64> {
-            self.accepted.lock().unwrap().clone()
+            self.accepted
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|&(id, _)| id)
+                .collect()
+        }
+
+        /// The kind of every accepted copy of request `id`.
+        fn kinds_of(&self, id: u64) -> Vec<Kind> {
+            let accepted = self.accepted.lock().unwrap();
+            accepted.iter().filter(|a| a.0 == id).map(|a| a.1).collect()
         }
 
         /// Answers every held request with its factor.
@@ -1396,17 +1287,20 @@ mod tests {
 
         fn try_submit(
             &self,
+            kind: Kind,
             id: u64,
-            n: usize,
+            _n: usize,
             payload: Payload,
             _deadline: Option<Instant>,
             sink: ReplySink,
         ) -> Result<(), SubmitRefusal> {
-            let _ = n;
+            if self.refuse_next.swap(false, Ordering::SeqCst) {
+                return Err((RejectReason::ShuttingDown, payload, sink));
+            }
             if let Some(reason) = *self.refuse.lock().unwrap() {
                 return Err((reason, payload, sink));
             }
-            self.accepted.lock().unwrap().push(id);
+            self.accepted.lock().unwrap().push((id, kind));
             if self.lose_next.swap(false, Ordering::SeqCst) {
                 // The process died with the request in flight: the
                 // pending map answers ShardLost and the connection
@@ -1427,17 +1321,6 @@ mod tests {
                 outcome: Outcome::Factor(payload),
             });
             Ok(())
-        }
-
-        fn try_submit_large(
-            &self,
-            id: u64,
-            n: usize,
-            payload: Payload,
-            deadline: Option<Instant>,
-            sink: ReplySink,
-        ) -> Result<(), SubmitRefusal> {
-            self.try_submit(id, n, payload, deadline, sink)
         }
 
         fn probe(&self) -> bool {
@@ -1483,9 +1366,10 @@ mod tests {
             .collect()
     }
 
-    fn call(client: &RouterClient, id: u64, n: usize) -> FactorReply {
+    fn call_kind(client: &RouterClient, kind: Kind, id: u64, n: usize) -> FactorReply {
         let (tx, rx) = mpsc::sync_channel(1);
-        client.submit_sink(
+        client.submit_kind(
+            kind,
             id,
             n,
             Payload::F32(vec![1.0; n * n]),
@@ -1493,6 +1377,10 @@ mod tests {
             ReplySink::boxed(move |r| drop(tx.send(r))),
         );
         rx.recv().expect("sink never invoked")
+    }
+
+    fn call(client: &RouterClient, id: u64, n: usize) -> FactorReply {
+        call_kind(client, Kind::Batch, id, n)
     }
 
     #[test]
@@ -1550,15 +1438,7 @@ mod tests {
     }
 
     fn call_large(client: &RouterClient, id: u64, n: usize) -> FactorReply {
-        let (tx, rx) = mpsc::sync_channel(1);
-        client.submit_large_sink(
-            id,
-            n,
-            Payload::F32(vec![1.0; n * n]),
-            None,
-            ReplySink::boxed(move |r| drop(tx.send(r))),
-        );
-        rx.recv().expect("large sink never invoked")
+        call_kind(client, Kind::Large, id, n)
     }
 
     #[test]
@@ -1736,7 +1616,8 @@ mod tests {
                 a[d * n + d] = 4.0;
             }
             let tx = tx.clone();
-            client.submit_sink(
+            client.submit_kind(
+                Kind::Batch,
                 id,
                 n,
                 Payload::F32(a),
@@ -1942,6 +1823,76 @@ mod tests {
         assert_eq!(router.core.hedge_wasted.load(Ordering::Relaxed), 0);
         let total: usize = f.iter().map(|b| b.accepted_ids().len()).sum();
         assert_eq!(total, 20, "no duplicate submissions");
+        router.shutdown();
+    }
+
+    /// The kind is a value every recovery path must carry: a large
+    /// request re-sent by submit-time failover, by `ShardLost`
+    /// resubmission, or as a hedge copy must reach the second shard as
+    /// large, never downgraded to the batch path.
+    #[test]
+    fn a_large_request_stays_large_through_every_recovery_path() {
+        let owner_of = |f: &[Arc<TestBackend>]| {
+            (0..f.len())
+                .position(|i| !f[i].accepted_ids().is_empty())
+                .unwrap()
+        };
+
+        // Submit-time failover: the owner refuses while its probe still
+        // reads healthy, so the submit path itself must fail over.
+        let f = fakes(3);
+        let router = Router::start(as_backends(&f), RouterConfig::default());
+        let client = router.client();
+        assert!(call_large(&client, 1, 96).outcome.is_ok());
+        let owner = owner_of(&f);
+        f[owner].refuse_next.store(true, Ordering::SeqCst);
+        assert!(call_large(&client, 2, 96).outcome.is_ok());
+        assert_eq!(router.failovers(), 1);
+        let kinds: Vec<Kind> = f.iter().flat_map(|b| b.kinds_of(2)).collect();
+        assert_eq!(kinds, vec![Kind::Large], "failover downgraded the kind");
+        router.shutdown();
+
+        // `ShardLost` resubmission: the owner dies with the request in
+        // flight and the loss guard re-sends it.
+        let f = fakes(2);
+        for b in &f {
+            b.can_lose.store(true, Ordering::SeqCst);
+        }
+        let router = Router::start(as_backends(&f), RouterConfig::default());
+        let client = router.client();
+        assert!(call_large(&client, 1, 96).outcome.is_ok());
+        let owner = owner_of(&f);
+        f[owner].lose_next.store(true, Ordering::SeqCst);
+        assert!(call_large(&client, 2, 96).outcome.is_ok());
+        assert_eq!(router.core.shard_lost_resubmits.load(Ordering::Relaxed), 1);
+        assert_eq!(f[owner].kinds_of(2), vec![Kind::Large]);
+        assert_eq!(
+            f[1 - owner].kinds_of(2),
+            vec![Kind::Large],
+            "resubmission downgraded the kind"
+        );
+        router.shutdown();
+
+        // Hedge copy: the owner straggles and the copy answers.
+        let f = fakes(2);
+        let cfg = RouterConfig {
+            health_interval: Duration::from_millis(1),
+            hedge_after: Some(Duration::from_millis(5)),
+            ..RouterConfig::default()
+        };
+        let router = Router::start(as_backends(&f), cfg);
+        let client = router.client();
+        assert!(call_large(&client, 1, 96).outcome.is_ok());
+        let owner = owner_of(&f);
+        f[owner].hold.store(true, Ordering::SeqCst);
+        assert!(call_large(&client, 2, 96).outcome.is_ok());
+        assert_eq!(f[owner].kinds_of(2), vec![Kind::Large]);
+        assert_eq!(
+            f[1 - owner].kinds_of(2),
+            vec![Kind::Large],
+            "the hedge copy downgraded the kind"
+        );
+        f[owner].release_held();
         router.shutdown();
     }
 }

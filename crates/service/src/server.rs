@@ -1,5 +1,6 @@
-//! std::net TCP front-end: accepts connections, decodes request frames,
-//! submits them through a [`Frontend`] — a single service's
+//! std::net TCP front-end: accepts connections, decodes request frames
+//! of either [`Kind`] (the frame kind byte names it), submits each
+//! through one [`Frontend`] call — to a single service's
 //! [`Client`](crate::service::Client) or a
 //! [`RouterClient`](crate::router::RouterClient) fronting a sharded
 //! fleet — and streams replies back as they complete (replies may
@@ -23,7 +24,7 @@ use crate::codec::{
     K_LARGE_REQ, K_SHUTDOWN, K_SHUTDOWN_ACK, K_STATS_REPLY, K_STATS_REQ,
 };
 use crate::fault::{FaultAction, FaultHook, FaultSite};
-use crate::request::{FactorReply, ReplySink};
+use crate::request::{FactorReply, Kind, ReplySink};
 use crate::service::Frontend;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -128,6 +129,7 @@ fn conn_loop<F: Frontend>(stream: TcpStream, client: F, hook: FaultHook) -> io::
         };
         match kind {
             K_FACTOR_REQ | K_LARGE_REQ => {
+                let kind = Kind::from_wire(kind).expect("a request frame kind");
                 let (id, n, deadline_us, payload) =
                     decode_factor_req(&body).map_err(io::Error::from)?;
                 let dtype = payload.dtype();
@@ -138,16 +140,10 @@ fn conn_loop<F: Frontend>(stream: TcpStream, client: F, hook: FaultHook) -> io::
                 // writer thread owns the socket. Send failure =
                 // connection gone; the reply is dropped with it.
                 let sink = ReplySink::frame(tx.clone(), dtype);
-                if kind == K_LARGE_REQ {
-                    // Former bypass: large matrices are scheduled on the
-                    // task-graph pool, never packed into a batch.
-                    client.submit_large_sink(id, n, payload, deadline, sink);
-                } else {
-                    // Non-blocking admission: a full queue answers with a
-                    // QueueFull rejection frame instead of stalling the
-                    // reader (which would deadlock a pipelining client).
-                    client.submit_sink(id, n, payload, deadline, sink, false);
-                }
+                // Admission never blocks: a full queue answers with a
+                // rejection frame instead of stalling the reader (which
+                // would deadlock a pipelining client).
+                client.submit_kind(kind, id, n, payload, deadline, sink);
             }
             K_STATS_REQ => {
                 let snap = client.stats();
@@ -449,7 +445,16 @@ mod tests {
         assert_eq!(reply.id, 124);
         assert!(matches!(reply.outcome, Outcome::Rejected(_)));
 
-        let stats = conn.fetch_stats().unwrap();
+        // Counters bump *after* sink delivery, so the stats fetch can
+        // overtake the worker's ledger entry: poll for settled counters.
+        let t0 = Instant::now();
+        let stats = loop {
+            let s = conn.fetch_stats().unwrap();
+            if s.replies_ok == 1 || t0.elapsed() > Duration::from_secs(5) {
+                break s;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.replies_ok, 1);

@@ -1,50 +1,56 @@
-//! The service: ingest queue → batch former → tuned-engine worker pool,
-//! with an in-process [`Client`] handle.
+//! The service: one admission function in front of two supervised
+//! worker pools, with an in-process [`Client`] handle.
 //!
-//! Thread shape: one former thread owns the consumer side of the
-//! [`IngestQueue`]; `workers` supervisor threads each own one live
-//! worker thread sharing a `sync_channel` of [`FormedBatch`]es. Each
-//! worker factorizes its batch in place with
-//! [`factorize_batch_auto_backend`] under the plan the [`EngineSelector`]
-//! chose (including its lane backend: runtime-dispatched SIMD by
-//! default), then routes every per-matrix outcome — factor or non-SPD
-//! failure — back to exactly the originating request's sink.
+//! Every request carries its [`Kind`] as a value, and [`Client`]
+//! admission is the one place that acts on it, by choosing the queue
+//! (and the dimension bound) the kind names:
 //!
-//! Workers are *supervised*: a batch executes under `catch_unwind`, so a
-//! panic (a kernel bug, or one injected by the chaos harness) costs only
-//! that batch — its requests get a typed [`Outcome::WorkerCrashed`]
-//! reply, the crashed worker thread is restarted with capped exponential
-//! backoff, and the process never exits. Combined with deadline shedding
-//! in the former, every admitted request receives exactly one reply no
-//! matter what faults fire.
+//! - [`Kind::Batch`] requests enter the [`IngestQueue`]. One former
+//!   thread groups them by `(n, dtype)` and hands [`FormedBatch`]es to
+//!   the batch pool, whose workers factorize each batch in place with
+//!   [`factorize_batch_auto_backend`] under the plan the
+//!   [`EngineSelector`] chose (including its lane backend:
+//!   runtime-dispatched SIMD by default), then route every per-matrix
+//!   outcome — factor or non-SPD failure — back to exactly the
+//!   originating request's sink.
+//! - [`Kind::Large`] requests skip the former. A matrix above the batch
+//!   ceiling has no cohort to amortize with (one `n = 512` matrix is
+//!   ~4000 `n = 8` matrices of work), so the large pool factorizes each
+//!   payload **in place** with the task-graph runtime ([`potrf_tiled`]) —
+//!   no gather, no packing; the reply reuses the request's own buffer. A
+//!   non-SPD pivot tile reports the failing *global* column
+//!   (deterministic even under parallel DAG execution, because diagonal
+//!   factorizations are totally ordered).
 //!
-//! **Large matrices don't batch — they schedule.** A matrix above the
-//! batch ceiling has no cohort to amortize with (one `n = 512` matrix is
-//! ~4000 `n = 8` matrices of work) and would stall every small request
-//! packed behind it. [`Client::submit_large_sink`] therefore bypasses
-//! the former entirely: the request goes to a dedicated, equally
-//! supervised worker pool that factorizes the payload **in place** with
-//! the task-graph runtime ([`potrf_tiled`]) — no gather, no packing; the
-//! reply reuses the request's own buffer. Failure routing is per
-//! request: a non-SPD pivot tile reports the failing *global* column
-//! (deterministic even under parallel DAG execution, because diagonal
-//! factorizations are totally ordered), a panic mid-DAG fails only that
-//! request, and an expired deadline is shed before the factorization
-//! starts.
+//! Both pools run one supervised-pool implementation. A supervisor per
+//! worker slot runs a worker thread that executes jobs under
+//! `catch_unwind`, so a panic (a kernel bug, or one injected by the
+//! chaos harness) costs only that job — its requests get a typed
+//! [`Outcome::WorkerCrashed`] reply — and the supervisor restarts the
+//! worker on the [`RetryPolicy::reconnect`] backoff schedule that fleet
+//! respawn and `TcpShard` reconnect share. The pools keep separate
+//! queues on purpose: with one shared queue a small request could wait
+//! behind a multi-millisecond DAG (head-of-line blocking). Combined with
+//! deadline shedding — in the former before packing, in the large pool
+//! before a DAG starts — every admitted request receives exactly one
+//! reply no matter what faults fire.
 
-use crate::codec::{factor_ok_frame_f32, factor_ok_frame_f64};
+use crate::codec::{factor_ok_frame_f32, factor_ok_frame_f64, MAX_FRAME};
 use crate::engine::EngineSelector;
 use crate::fault::{silence_injected_panics, FaultAction, FaultHook, FaultSite};
-use crate::former::{run_former, FormedBatch, FormerConfig, IngestMode, PackedData};
+use crate::former::{expired, run_former, shed, FormedBatch, FormerConfig, PackedData};
 use crate::queue::{IngestQueue, PushRefused};
-use crate::request::{FactorReply, Outcome, Payload, Pending, RejectReason, ReplySink};
-use crate::stats::{ServiceStats, StatsSnapshot};
+use crate::request::{
+    FactorReply, Kind, Outcome, Payload, Pending, RejectReason, ReplySink, SubmitRefusal,
+};
+use crate::retry::RetryPolicy;
+use crate::stats::{Answer, ServiceStats, StatsSnapshot};
 use ibcf_core::lane_batch::factorize_batch_auto_backend;
 use ibcf_core::{potrf_tiled, CholeskyError, Looking, Real};
 use ibcf_layout::{gather_matrix_affine, Layout};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,24 +66,11 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Batch former deadline.
     pub max_delay: Duration,
-    /// Largest admissible matrix dimension.
+    /// Largest admissible matrix dimension for a batched request.
     pub max_n: usize,
     /// Fault injection hook ([`FaultHook::disabled`] in production: one
     /// `None` check per site, no other cost).
     pub fault: FaultHook,
-    /// How the former packs flushed groups ([`IngestMode::Fused`] by
-    /// default; [`IngestMode::Staged`] keeps the legacy extra-copy path
-    /// alive for A/B comparison).
-    pub ingest: IngestMode,
-    /// Largest admissible dimension for a *large* (task-graph) request.
-    /// Kept comfortably under the wire's `MAX_FRAME` so a factored f64
-    /// reply still frames.
-    pub max_large_n: usize,
-    /// Worker threads serving large requests (each runs one task-graph
-    /// factorization at a time, itself parallel over the DAG).
-    pub large_workers: usize,
-    /// Tile edge for the large path's task-graph runtime.
-    pub large_nb: usize,
 }
 
 impl Default for ServiceConfig {
@@ -89,32 +82,37 @@ impl Default for ServiceConfig {
             max_delay: Duration::from_millis(1),
             max_n: 64,
             fault: FaultHook::disabled(),
-            ingest: IngestMode::Fused,
-            max_large_n: 1024,
-            large_workers: 1,
-            large_nb: 32,
         }
     }
 }
+
+/// Largest admissible dimension for a large request. Its factored f64
+/// reply carries `n² × 8` bytes — 8 MiB at this bound — which keeps it
+/// well inside the wire's [`MAX_FRAME`] (32 MiB).
+pub const MAX_LARGE_N: usize = 1024;
+const _: () = assert!(MAX_LARGE_N * MAX_LARGE_N * 8 + 64 <= MAX_FRAME);
+
+/// Worker threads in the large pool. Each runs one task-graph
+/// factorization at a time, itself parallel over the DAG.
+const LARGE_WORKERS: usize = 1;
+
+/// Tile edge of the large pool's task-graph runtime.
+const LARGE_NB: usize = 32;
 
 /// Queued-but-unserved bound for the large path: large payloads are big,
 /// so admission control trips early instead of buffering a deep backlog
 /// of megabyte buffers.
 const LARGE_QUEUE_CAP: usize = 64;
 
-/// First supervisor backoff after a worker crash; doubles per
-/// consecutive crash.
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(1);
-/// Supervisor backoff ceiling.
-const RESTART_BACKOFF_CAP: Duration = Duration::from_millis(250);
+/// Why the large sender's lock cannot be poisoned: admission and
+/// `begin_drain` hold it only for a `try_send` or a `take`.
+const LARGE_TX_LOCK: &str = "large sender lock held only for try_send/take";
 
 struct Inner {
     queue: Arc<IngestQueue>,
     stats: Arc<ServiceStats>,
     max_n: usize,
-    max_large_n: usize,
-    tuned: bool,
-    /// Sender side of the large-request channel; `None` once a drain or
+    /// Sender side of the large pool's queue; `None` once a drain or
     /// shutdown began (dropping it lets the large workers drain out).
     large_tx: Mutex<Option<SyncSender<Pending>>>,
 }
@@ -125,20 +123,18 @@ struct Inner {
 pub struct Service {
     inner: Arc<Inner>,
     former: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    large_workers: Vec<JoinHandle<()>>,
+    /// One supervisor per worker slot, of both pools.
+    supervisors: Vec<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Starts the former and worker threads.
+    /// Starts the former and both worker pools.
     pub fn start(config: ServiceConfig, selector: EngineSelector) -> Service {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.max_batch > 0, "max_batch must be positive");
         if config.fault.is_enabled() {
             silence_injected_panics();
         }
-        assert!(config.large_workers > 0, "need at least one large worker");
-        assert!(config.large_nb > 0, "large_nb must be positive");
         let queue = Arc::new(IngestQueue::new(config.queue_cap));
         let stats = Arc::new(ServiceStats::default());
         let (large_tx, large_rx) = sync_channel::<Pending>(LARGE_QUEUE_CAP);
@@ -146,8 +142,6 @@ impl Service {
             queue: queue.clone(),
             stats: stats.clone(),
             max_n: config.max_n,
-            max_large_n: config.max_large_n,
-            tuned: selector.is_tuned(),
             large_tx: Mutex::new(Some(large_tx)),
         });
         // Shallow channel: the former should stall (and keep accumulating
@@ -157,7 +151,6 @@ impl Service {
         let former_cfg = FormerConfig {
             max_batch: config.max_batch,
             max_delay: config.max_delay,
-            ingest: config.ingest,
             ..FormerConfig::default()
         };
         let former = {
@@ -167,32 +160,14 @@ impl Service {
                 .spawn(move || run_former(q, selector, former_cfg, s, batch_tx, h))
                 .expect("spawn former")
         };
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        let workers = (0..config.workers)
-            .map(|w| {
-                let (rx, s, h) = (batch_rx.clone(), stats.clone(), config.fault.clone());
-                std::thread::Builder::new()
-                    .name(format!("ibcf-supervisor-{w}"))
-                    .spawn(move || run_supervisor(w, &rx, &s, &h))
-                    .expect("spawn supervisor")
-            })
-            .collect();
-        let large_rx = Arc::new(Mutex::new(large_rx));
-        let large_workers = (0..config.large_workers)
-            .map(|w| {
-                let (rx, s, h) = (large_rx.clone(), stats.clone(), config.fault.clone());
-                let nb = config.large_nb;
-                std::thread::Builder::new()
-                    .name(format!("ibcf-large-supervisor-{w}"))
-                    .spawn(move || run_large_supervisor(w, &rx, &s, &h, nb))
-                    .expect("spawn large supervisor")
-            })
-            .collect();
+        let (s, h) = (&stats, &config.fault);
+        let mut supervisors = spawn_pool("batch", config.workers, batch_rx, s, h, execute_batch);
+        let large = spawn_pool("large", LARGE_WORKERS, large_rx, s, h, execute_large);
+        supervisors.extend(large);
         Service {
             inner,
             former: Some(former),
-            workers,
-            large_workers,
+            supervisors,
         }
     }
 
@@ -209,79 +184,101 @@ impl Service {
         self.inner.stats.snapshot()
     }
 
-    /// Closes the queue, drains everything already admitted, and joins
+    /// Closes both queues, drains everything already admitted, and joins
     /// all threads. Every admitted request receives its reply before this
     /// returns.
     pub fn shutdown(mut self) -> StatsSnapshot {
-        self.inner.queue.close();
-        // Dropping the large sender lets the large workers drain their
-        // channel and exit, mirroring the former dropping the batch
-        // sender below.
-        self.inner.large_tx.lock().unwrap().take();
+        self.client().begin_drain();
         if let Some(former) = self.former.take() {
             former.join().expect("former panicked");
         }
-        // The former dropped the batch sender; workers drain and exit,
-        // and each supervisor follows its drained worker out.
-        for w in self.workers.drain(..) {
-            w.join().expect("supervisor panicked");
-        }
-        for w in self.large_workers.drain(..) {
-            w.join().expect("large supervisor panicked");
+        // The former dropped the batch sender and the drain dropped the
+        // large one: each pool drains its channel, and each supervisor
+        // follows its drained worker out.
+        for s in self.supervisors.drain(..) {
+            s.join().expect("supervisor panicked");
         }
         self.inner.stats.snapshot()
     }
 }
 
+/// How a pool executes one job — a formed batch or one large request —
+/// delivering every reply the job owes. `Err` means the job panicked
+/// (its requests already got typed crash replies) and the worker must
+/// be restarted.
+type Exec<J> = fn(J, &ServiceStats, &FaultHook, &mut GatherScratch) -> Result<(), ()>;
+
 /// Why a worker thread returned.
 enum WorkerExit {
-    /// The batch channel disconnected and drained: clean shutdown.
+    /// The job channel disconnected and drained: clean shutdown.
     Drained,
-    /// A batch panicked (caught); `processed` batches completed before
-    /// the crash — the supervisor resets its backoff when that is > 0.
+    /// A job panicked (caught); `processed` jobs completed before the
+    /// crash — the supervisor restarts its backoff when that is > 0.
     Crashed { processed: u64 },
 }
 
-/// Supervises one worker slot: spawns the worker thread, joins it, and
-/// respawns after a crash with capped exponential backoff. Backoff
-/// resets whenever the crashed incarnation made progress first, so a
-/// poisoned workload can't permanently slow a healthy worker, while a
-/// crash loop (instant repeated panics) backs off instead of spinning.
-fn run_supervisor(
-    slot: usize,
-    rx: &Arc<Mutex<Receiver<FormedBatch>>>,
+/// Starts one supervised pool: `workers` slots sharing the job channel
+/// `rx`, each executing jobs with `exec`.
+fn spawn_pool<J: Send + 'static>(
+    pool: &'static str,
+    workers: usize,
+    rx: Receiver<J>,
     stats: &Arc<ServiceStats>,
     hook: &FaultHook,
+    exec: Exec<J>,
+) -> Vec<JoinHandle<()>> {
+    let rx = Arc::new(Mutex::new(rx));
+    (0..workers)
+        .map(|slot| {
+            let (rx, s, h) = (rx.clone(), stats.clone(), hook.clone());
+            std::thread::Builder::new()
+                .name(format!("ibcf-{pool}-supervisor-{slot}"))
+                .spawn(move || run_supervisor(pool, slot, &rx, &s, &h, exec))
+                .expect("spawn supervisor")
+        })
+        .collect()
+}
+
+/// Supervises one worker slot: spawns the worker thread, joins it, and
+/// respawns it after a crash, sleeping on the [`RetryPolicy::reconnect`]
+/// schedule first. The schedule restarts from its first step whenever
+/// the crashed incarnation made progress, so a poisoned workload can't
+/// permanently slow a healthy worker, while a crash loop (instant
+/// repeated panics) backs off instead of spinning.
+fn run_supervisor<J: Send + 'static>(
+    pool: &'static str,
+    slot: usize,
+    rx: &Arc<Mutex<Receiver<J>>>,
+    stats: &Arc<ServiceStats>,
+    hook: &FaultHook,
+    exec: Exec<J>,
 ) {
-    let mut backoff = RESTART_BACKOFF_BASE;
-    let mut incarnation = 0u64;
-    loop {
+    let restart = RetryPolicy::reconnect(slot as u64);
+    let mut attempt = 0u32;
+    for incarnation in 0u64.. {
         let (rx2, s2, h2) = (rx.clone(), stats.clone(), hook.clone());
         let worker = std::thread::Builder::new()
-            .name(format!("ibcf-worker-{slot}.{incarnation}"))
-            .spawn(move || run_worker(&rx2, &s2, &h2))
+            .name(format!("ibcf-{pool}-worker-{slot}.{incarnation}"))
+            .spawn(move || run_worker(&rx2, &s2, &h2, exec))
             .expect("spawn worker");
         match worker.join().expect("worker escaped catch_unwind") {
             WorkerExit::Drained => return,
             WorkerExit::Crashed { processed } => {
                 stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                if processed > 0 {
-                    backoff = RESTART_BACKOFF_BASE;
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(RESTART_BACKOFF_CAP);
-                incarnation += 1;
+                attempt = if processed > 0 { 1 } else { attempt + 1 };
+                std::thread::sleep(restart.backoff(attempt));
             }
         }
     }
 }
 
-/// Factorizes formed batches in place and distributes replies, until the
-/// channel drains (clean exit) or a batch panics (supervised exit).
-fn run_worker(
-    rx: &Mutex<Receiver<FormedBatch>>,
+/// Executes jobs until the channel drains (clean exit) or a job panics
+/// (supervised exit).
+fn run_worker<J>(
+    rx: &Mutex<Receiver<J>>,
     stats: &ServiceStats,
     hook: &FaultHook,
+    exec: Exec<J>,
 ) -> WorkerExit {
     let mut processed = 0u64;
     // Worker-lifetime gather scratch: reused across every batch this
@@ -289,74 +286,49 @@ fn run_worker(
     // allocates nothing per reply beyond the frame bytes themselves.
     let mut scratch = GatherScratch::default();
     loop {
-        let batch = {
-            let guard = rx.lock().unwrap();
+        let job = {
+            let guard = rx
+                .lock()
+                .expect("no worker panics holding the job receiver");
             match guard.recv() {
-                Ok(b) => b,
-                Err(_) => return WorkerExit::Drained, // former gone, drained
+                Ok(job) => job,
+                Err(_) => return WorkerExit::Drained, // senders gone, drained
             }
         };
-        match execute_batch(batch, stats, hook, &mut scratch) {
+        match exec(job, stats, hook, &mut scratch) {
             Ok(()) => processed += 1,
             Err(()) => return WorkerExit::Crashed { processed },
         }
     }
 }
 
-/// Supervises one large-path worker slot — same restart-with-backoff
-/// contract as [`run_supervisor`], sharing the restart counters.
-fn run_large_supervisor(
-    slot: usize,
-    rx: &Arc<Mutex<Receiver<Pending>>>,
-    stats: &Arc<ServiceStats>,
-    hook: &FaultHook,
-    nb: usize,
-) {
-    let mut backoff = RESTART_BACKOFF_BASE;
-    let mut incarnation = 0u64;
-    loop {
-        let (rx2, s2, h2) = (rx.clone(), stats.clone(), hook.clone());
-        let worker = std::thread::Builder::new()
-            .name(format!("ibcf-large-worker-{slot}.{incarnation}"))
-            .spawn(move || run_large_worker(&rx2, &s2, &h2, nb))
-            .expect("spawn large worker");
-        match worker.join().expect("large worker escaped catch_unwind") {
-            WorkerExit::Drained => return,
-            WorkerExit::Crashed { processed } => {
-                stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                if processed > 0 {
-                    backoff = RESTART_BACKOFF_BASE;
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(RESTART_BACKOFF_CAP);
-                incarnation += 1;
-            }
+/// Runs `f` under `catch_unwind`, first applying the chaos hook's worker
+/// fault if one is due: an injected delay sleeps, and an injected panic
+/// fires inside the unwind scope, so it is contained exactly like a real
+/// one. `None` means `f` panicked.
+fn run_caught<R>(hook: &FaultHook, f: impl FnOnce() -> R) -> Option<R> {
+    let inject_panic = match hook.check(FaultSite::WorkerBatch) {
+        Some(FaultAction::PanicWorker) => true,
+        Some(FaultAction::Delay(d)) => {
+            std::thread::sleep(d);
+            false
         }
-    }
+        _ => false,
+    };
+    catch_unwind(AssertUnwindSafe(move || {
+        if inject_panic {
+            panic!("{} (chaos harness)", crate::fault::INJECTED_PANIC_MARKER);
+        }
+        f()
+    }))
+    .ok()
 }
 
-/// Serves large requests one at a time until the channel drains (sender
-/// dropped at drain/shutdown) or a factorization panics (supervised
-/// exit — the panic fails only the request that triggered it).
-fn run_large_worker(
-    rx: &Mutex<Receiver<Pending>>,
-    stats: &ServiceStats,
-    hook: &FaultHook,
-    nb: usize,
-) -> WorkerExit {
-    let mut processed = 0u64;
-    loop {
-        let pending = {
-            let guard = rx.lock().unwrap();
-            match guard.recv() {
-                Ok(p) => p,
-                Err(_) => return WorkerExit::Drained,
-            }
-        };
-        match execute_large(pending, stats, hook, nb) {
-            Ok(()) => processed += 1,
-            Err(()) => return WorkerExit::Crashed { processed },
-        }
+/// The typed reply for a factorization that stopped at a bad pivot.
+fn failure_outcome(e: CholeskyError) -> Outcome {
+    match e {
+        CholeskyError::NotPositiveDefinite { column } => Outcome::NotSpd { column },
+        CholeskyError::NonFinite { column } => Outcome::NonFinite { column },
     }
 }
 
@@ -365,80 +337,48 @@ fn run_large_worker(
 /// upper stays the submitted data — the `potrf` convention the batched
 /// path also honors). Deadline shedding happens here, after dequeue:
 /// queue wait is exactly the time that can expire a large request.
-/// A panic is caught and fails only this request with a typed
+/// A panic fails only this request with a typed
 /// [`Outcome::WorkerCrashed`]; `Err` restarts the worker.
-fn execute_large(p: Pending, stats: &ServiceStats, hook: &FaultHook, nb: usize) -> Result<(), ()> {
+fn execute_large(
+    p: Pending,
+    stats: &ServiceStats,
+    hook: &FaultHook,
+    _scratch: &mut GatherScratch,
+) -> Result<(), ()> {
+    if expired(&p, Instant::now()) {
+        shed(p, stats);
+        return Ok(());
+    }
     let Pending {
         id,
         n,
         payload,
         enqueued,
-        deadline,
         sink,
+        ..
     } = p;
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        sink.send(FactorReply {
-            id,
-            outcome: Outcome::Rejected(RejectReason::DeadlineExceeded),
-        });
-        // Same ledger as the former's shed path: `drained()` counts
-        // `deadline_expired` as answered.
-        stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        stats.rejected.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
-    }
-    let mut inject_panic = false;
-    match hook.check(FaultSite::WorkerBatch) {
-        Some(FaultAction::PanicWorker) => inject_panic = true,
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        _ => {}
-    }
     // Only the payload crosses the unwind boundary; the sink stays out
     // here so a panic still routes back to the originator.
-    let factored = catch_unwind(AssertUnwindSafe(move || {
-        if inject_panic {
-            panic!("{} (chaos harness)", crate::fault::INJECTED_PANIC_MARKER);
+    let factored = run_caught(hook, move || match payload {
+        Payload::F32(mut v) => {
+            let r = potrf_tiled(n, &mut v, n, LARGE_NB, Looking::Right);
+            (Payload::F32(v), r)
         }
-        match payload {
-            Payload::F32(mut v) => {
-                let r = potrf_tiled(n, &mut v, n, nb, Looking::Right);
-                (Payload::F32(v), r)
-            }
-            Payload::F64(mut v) => {
-                let r = potrf_tiled(n, &mut v, n, nb, Looking::Right);
-                (Payload::F64(v), r)
-            }
+        Payload::F64(mut v) => {
+            let r = potrf_tiled(n, &mut v, n, LARGE_NB, Looking::Right);
+            (Payload::F64(v), r)
         }
-    }));
-    let (crashed, outcome) = match factored {
-        Ok((payload, Ok(()))) => (false, Outcome::Factor(payload)),
-        Ok((_, Err(CholeskyError::NotPositiveDefinite { column }))) => {
-            (false, Outcome::NotSpd { column })
-        }
-        Ok((_, Err(CholeskyError::NonFinite { column }))) => (false, Outcome::NonFinite { column }),
-        Err(_) => {
+    });
+    let (answer, outcome, survived) = match factored {
+        Some((payload, Ok(()))) => (Answer::Ok(Kind::Large), Outcome::Factor(payload), Ok(())),
+        Some((_, Err(e))) => (Answer::Failed(Kind::Large), failure_outcome(e), Ok(())),
+        None => {
             stats.worker_crashes.fetch_add(1, Ordering::Relaxed);
-            (true, Outcome::WorkerCrashed)
+            (Answer::Failed(Kind::Large), Outcome::WorkerCrashed, Err(()))
         }
     };
-    let ok = outcome.is_ok();
-    let latency = enqueued.elapsed();
-    sink.send(FactorReply { id, outcome });
-    // Counters bump *after* delivery so `drained()` implies every reply
-    // already left through its sink.
-    stats.record_latency(latency);
-    if ok {
-        stats.replies_ok.fetch_add(1, Ordering::Relaxed);
-        stats.large_ok.fetch_add(1, Ordering::Relaxed);
-    } else {
-        stats.replies_failed.fetch_add(1, Ordering::Relaxed);
-        stats.large_failed.fetch_add(1, Ordering::Relaxed);
-    }
-    if crashed {
-        Err(())
-    } else {
-        Ok(())
-    }
+    stats.deliver(enqueued, answer, || sink.send(FactorReply { id, outcome }));
+    survived
 }
 
 /// Per-worker gather scratch: one reusable full-square staging buffer
@@ -472,19 +412,10 @@ fn execute_batch(
         reqs,
         ..
     } = batch;
-    let mut inject_panic = false;
-    match hook.check(FaultSite::WorkerBatch) {
-        Some(FaultAction::PanicWorker) => inject_panic = true,
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        _ => {}
-    }
     // The requests (and their reply sinks) stay *outside* the unwind
     // scope: only the packed buffer and the factorization cross it, so a
     // panic can still be routed back to every originator.
-    let factored = catch_unwind(AssertUnwindSafe(move || {
-        if inject_panic {
-            panic!("{} (chaos harness)", crate::fault::INJECTED_PANIC_MARKER);
-        }
+    let factored = run_caught(hook, move || {
         let failures = match &mut data {
             PackedData::F32(buf) => {
                 factorize_batch_auto_backend(
@@ -508,24 +439,18 @@ fn execute_batch(
             }
         };
         (data, failures)
-    }));
-    let (data, failures) = match factored {
-        Ok(pair) => pair,
-        Err(_) => {
-            stats.worker_crashes.fetch_add(1, Ordering::Relaxed);
-            for req in reqs {
-                let latency = req.enqueued.elapsed();
+    });
+    let Some((data, failures)) = factored else {
+        stats.worker_crashes.fetch_add(1, Ordering::Relaxed);
+        for req in reqs {
+            stats.deliver(req.enqueued, Answer::Failed(Kind::Batch), || {
                 req.sink.send(FactorReply {
                     id: req.id,
                     outcome: Outcome::WorkerCrashed,
-                });
-                // Counters bump *after* delivery so `drained()` implies
-                // every reply already left through its sink.
-                stats.record_latency(latency);
-                stats.replies_failed.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(());
+                })
+            });
         }
+        return Err(());
     };
     // `failures` is sorted by matrix index; walk it alongside the
     // requests so each failure lands on exactly its originator.
@@ -538,61 +463,50 @@ fn execute_batch(
         let Pending {
             id, enqueued, sink, ..
         } = req;
-        let latency = enqueued.elapsed();
-        let ok = failure.is_none();
-        match failure {
-            Some(CholeskyError::NotPositiveDefinite { column }) => sink.send(FactorReply {
+        let answer = if failure.is_none() {
+            Answer::Ok(Kind::Batch)
+        } else {
+            Answer::Failed(Kind::Batch)
+        };
+        stats.deliver(enqueued, answer, || match (failure, sink) {
+            (Some(e), sink) => sink.send(FactorReply {
                 id,
-                outcome: Outcome::NotSpd { column },
-            }),
-            Some(CholeskyError::NonFinite { column }) => sink.send(FactorReply {
-                id,
-                outcome: Outcome::NonFinite { column },
+                outcome: failure_outcome(e),
             }),
             // Success: a frame sink gets its reply encoded straight from
             // the worker's reusable gather scratch — no per-reply payload
             // allocation, no zero-fill, just the frame bytes. Everything
             // else receives an owned Payload (that ownership *is* the
             // in-process reply contract).
-            None => match sink {
-                ReplySink::Frame { tx, dtype } => {
-                    debug_assert_eq!(
-                        dtype.elem_bytes(),
-                        match &data {
-                            PackedData::F32(_) => 4,
-                            PackedData::F64(_) => 8,
-                        },
-                        "frame sink dtype disagrees with its batch"
-                    );
-                    let frame = match &data {
-                        PackedData::F32(v) => {
-                            scratch.f32.resize(n * n, 0.0);
-                            gather_matrix_affine(&layout, v.as_slice(), mat, &mut scratch.f32, n);
-                            factor_ok_frame_f32(id, &scratch.f32[..n * n])
-                        }
-                        PackedData::F64(v) => {
-                            scratch.f64.resize(n * n, 0.0);
-                            gather_matrix_affine(&layout, v.as_slice(), mat, &mut scratch.f64, n);
-                            factor_ok_frame_f64(id, &scratch.f64[..n * n])
-                        }
-                    };
-                    // Send failure = connection gone; drop with it.
-                    let _ = tx.send(frame);
-                }
-                other => other.send(FactorReply {
-                    id,
-                    outcome: Outcome::Factor(gather_payload(&layout, &data, mat, n)),
-                }),
-            },
-        }
-        // Counters bump *after* delivery so `drained()` implies every
-        // reply already left through its sink.
-        stats.record_latency(latency);
-        if ok {
-            stats.replies_ok.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.replies_failed.fetch_add(1, Ordering::Relaxed);
-        }
+            (None, ReplySink::Frame { tx, dtype }) => {
+                debug_assert_eq!(
+                    dtype.elem_bytes(),
+                    match &data {
+                        PackedData::F32(_) => 4,
+                        PackedData::F64(_) => 8,
+                    },
+                    "frame sink dtype disagrees with its batch"
+                );
+                let frame = match &data {
+                    PackedData::F32(v) => {
+                        scratch.f32.resize(n * n, 0.0);
+                        gather_matrix_affine(&layout, v.as_slice(), mat, &mut scratch.f32, n);
+                        factor_ok_frame_f32(id, &scratch.f32[..n * n])
+                    }
+                    PackedData::F64(v) => {
+                        scratch.f64.resize(n * n, 0.0);
+                        gather_matrix_affine(&layout, v.as_slice(), mat, &mut scratch.f64, n);
+                        factor_ok_frame_f64(id, &scratch.f64[..n * n])
+                    }
+                };
+                // Send failure = connection gone; drop with it.
+                let _ = tx.send(frame);
+            }
+            (None, other) => other.send(FactorReply {
+                id,
+                outcome: Outcome::Factor(gather_payload(&layout, &data, mat, n)),
+            }),
+        });
     }
     // Any remaining failure would sit in a padding slot — impossible,
     // padding is the identity matrix.
@@ -615,6 +529,24 @@ fn gather_payload(layout: &Layout, data: &PackedData, mat: usize, n: usize) -> P
     }
 }
 
+/// A fresh request, its latency clock starting now.
+fn pending(
+    id: u64,
+    n: usize,
+    payload: Payload,
+    deadline: Option<Instant>,
+    sink: ReplySink,
+) -> Pending {
+    Pending {
+        id,
+        n,
+        payload,
+        enqueued: Instant::now(),
+        deadline,
+        sink,
+    }
+}
+
 /// An in-process submission handle (cheap to clone, `Send`).
 #[derive(Clone)]
 pub struct Client {
@@ -622,45 +554,34 @@ pub struct Client {
 }
 
 impl Client {
-    /// `true` if the service was started from a tuned dispatch table.
-    pub fn is_tuned(&self) -> bool {
-        self.inner.tuned
-    }
-
     /// Current counters (serves the `stats` request).
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats.snapshot()
     }
 
-    /// Largest admissible `n` for batched requests.
-    pub fn max_n(&self) -> usize {
-        self.inner.max_n
-    }
-
-    /// Largest admissible `n` for large (task-graph) requests.
-    pub fn max_large_n(&self) -> usize {
-        self.inner.max_large_n
-    }
-
-    /// Stops admission (new submissions are rejected with
+    /// Stops admission on both queues (new submissions are rejected with
     /// [`RejectReason::ShuttingDown`]) while everything already admitted
     /// keeps flowing to workers. Poll [`Client::drained`] to learn when
     /// every admitted request has been answered.
     pub fn begin_drain(&self) {
         self.inner.queue.close();
-        // Large admission stops with it; dropping the sender drains the
-        // large workers once their channel empties.
-        self.inner.large_tx.lock().unwrap().take();
+        // Dropping the large sender drains the large workers once their
+        // channel empties. Admission sends under this same lock, so no
+        // large request slips in once it is taken.
+        self.inner.large_tx.lock().expect(LARGE_TX_LOCK).take();
     }
 
     /// `true` once every admitted request has received its reply. Only
     /// meaningful after [`Client::begin_drain`] (or shutdown) stopped
     /// admission; before that, in-flight arrivals can flip it back.
     pub fn drained(&self) -> bool {
+        // Acquire pairs with the Release bumps in `ServiceStats::deliver`:
+        // every reply counted here was already sent through its sink, so
+        // an ack sent after a `true` is ordered behind those replies.
         let s = &self.inner.stats;
-        let answered = s.replies_ok.load(Ordering::Relaxed)
-            + s.replies_failed.load(Ordering::Relaxed)
-            + s.deadline_expired.load(Ordering::Relaxed);
+        let answered = s.replies_ok.load(Ordering::Acquire)
+            + s.replies_failed.load(Ordering::Acquire)
+            + s.deadline_expired.load(Ordering::Acquire);
         answered >= s.requests.load(Ordering::Relaxed)
     }
 
@@ -676,58 +597,112 @@ impl Client {
         !self.inner.queue.is_closed()
     }
 
-    /// Non-blocking admission that hands everything back on refusal:
-    /// like `submit_sink(.., blocking = false)` but instead of rejecting
-    /// through the sink, a refusal returns `(reason, payload, sink)` to
-    /// the caller — nothing was delivered, nothing was counted — so a
-    /// router can re-route the request to another shard or translate a
-    /// full queue into a typed backpressure reject. On `Ok` the request
-    /// was admitted and the sink will be invoked exactly once by the
-    /// service.
-    #[allow(clippy::type_complexity)]
-    pub fn try_submit(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), (RejectReason, Payload, ReplySink)> {
-        if n == 0 || n > self.inner.max_n {
-            return Err((RejectReason::BadDimension, payload, sink));
-        }
-        if payload.len() != n * n {
-            return Err((RejectReason::BadPayload, payload, sink));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err((RejectReason::DeadlineExceeded, payload, sink));
-        }
-        let pending = Pending {
-            id,
-            n,
-            payload,
-            enqueued: Instant::now(),
-            deadline,
-            sink,
+    /// The one admission function, for both kinds: checks the request
+    /// against the dimension bound its kind names, its payload length
+    /// and its deadline, then publishes it to its kind's queue. Only a
+    /// batched request can `block` for queue space; large admission
+    /// never blocks. On refusal nothing was delivered and nothing stays
+    /// counted, and everything comes back to the caller.
+    fn admit(&self, kind: Kind, p: Pending, blocking: bool) -> Result<(), SubmitRefusal> {
+        let max_n = match kind {
+            Kind::Batch => self.inner.max_n,
+            Kind::Large => MAX_LARGE_N,
         };
-        match self.inner.queue.try_push(pending) {
-            Ok(()) => {
-                self.inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err((p, closed)) => {
+        let invalid = if p.n == 0 || p.n > max_n {
+            Some(RejectReason::BadDimension)
+        } else if p.payload.len() != p.n * p.n {
+            Some(RejectReason::BadPayload)
+        } else if p.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Dead on arrival: refuse at the door rather than admit work
+            // that would be shed at once.
+            Some(RejectReason::DeadlineExceeded)
+        } else {
+            None
+        };
+        if let Some(reason) = invalid {
+            return Err((reason, p.payload, p.sink));
+        }
+        // Count the request *before* a worker can see it, and undo the
+        // count on refusal: `drained()` compares answered against
+        // admitted, so a request published uncounted could let a drain
+        // ack ahead of its reply. Relaxed is enough: the count precedes
+        // the publish, and the publish and `begin_drain` are ordered by
+        // the queue's lock (the large path's by `large_tx`'s), which the
+        // draining thread takes before it polls `drained()`.
+        let stats = &self.inner.stats;
+        stats.requests.fetch_add(1, Ordering::Relaxed);
+        let published = match (kind, blocking) {
+            (Kind::Batch, false) => self.inner.queue.try_push(p).map_err(|(p, closed)| {
                 let reason = if closed {
                     RejectReason::ShuttingDown
                 } else {
                     RejectReason::QueueFull
                 };
+                (p, reason)
+            }),
+            (Kind::Batch, true) => self.inner.queue.push_wait(p).map_err(|e| match e {
+                PushRefused::ShuttingDown(p) => (p, RejectReason::ShuttingDown),
+                PushRefused::DeadlineExceeded(p) => (p, RejectReason::DeadlineExceeded),
+            }),
+            // The closed check and the send both happen under the lock
+            // `begin_drain` takes, so a drain can't begin in between.
+            (Kind::Large, _) => match self.inner.large_tx.lock().expect(LARGE_TX_LOCK).as_ref() {
+                None => Err((p, RejectReason::ShuttingDown)),
+                Some(tx) => tx.try_send(p).map_err(|e| match e {
+                    TrySendError::Full(p) => (p, RejectReason::QueueFull),
+                    TrySendError::Disconnected(p) => (p, RejectReason::ShuttingDown),
+                }),
+            },
+        };
+        match published {
+            Ok(()) => {
+                if kind == Kind::Large {
+                    stats.large_requests.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(())
+            }
+            Err((p, reason)) => {
+                stats.requests.fetch_sub(1, Ordering::Relaxed);
                 Err((reason, p.payload, p.sink))
             }
         }
     }
 
-    /// Submits a request, delivering the reply through `sink`. With
-    /// `blocking` the call waits for queue space (backpressure);
+    /// [`Client::admit`], answering a refusal through the request's own
+    /// sink: the sink is invoked exactly once either way, inline for a
+    /// refusal.
+    fn admit_or_reject(&self, kind: Kind, p: Pending, blocking: bool) {
+        let id = p.id;
+        if let Err((reason, _, sink)) = self.admit(kind, p, blocking) {
+            self.inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            sink.send(FactorReply {
+                id,
+                outcome: Outcome::Rejected(reason),
+            });
+        }
+    }
+
+    /// Non-blocking admission that hands everything back on refusal —
+    /// what a router shard delegates to. `Ok` means the request was
+    /// admitted to its kind's queue and the sink will be invoked exactly
+    /// once by the service; `Err` returns `(reason, payload, sink)` with
+    /// nothing delivered and nothing counted, so a router can re-route
+    /// the request or translate a full queue into a typed backpressure
+    /// reject.
+    pub fn try_submit(
+        &self,
+        kind: Kind,
+        id: u64,
+        n: usize,
+        payload: Payload,
+        deadline: Option<Instant>,
+        sink: ReplySink,
+    ) -> Result<(), SubmitRefusal> {
+        self.admit(kind, pending(id, n, payload, deadline, sink), false)
+    }
+
+    /// Submits a batched request, delivering the reply through `sink`.
+    /// With `blocking` the call waits for queue space (backpressure);
     /// otherwise a full queue rejects immediately (admission control).
     /// A `deadline` propagates to the former: if it expires before the
     /// request is packed into a batch, the request is shed with
@@ -742,106 +717,8 @@ impl Client {
         sink: ReplySink,
         blocking: bool,
     ) {
-        let reject = |sink: ReplySink, reason: RejectReason, stats: &ServiceStats| {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            sink.send(FactorReply {
-                id,
-                outcome: Outcome::Rejected(reason),
-            });
-        };
-        if n == 0 || n > self.inner.max_n {
-            return reject(sink, RejectReason::BadDimension, &self.inner.stats);
-        }
-        if payload.len() != n * n {
-            return reject(sink, RejectReason::BadPayload, &self.inner.stats);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            // Dead on arrival: refuse at the door rather than admitting
-            // work the former would immediately shed.
-            return reject(sink, RejectReason::DeadlineExceeded, &self.inner.stats);
-        }
-        let pending = Pending {
-            id,
-            n,
-            payload,
-            enqueued: Instant::now(),
-            deadline,
-            sink,
-        };
-        let outcome = if blocking {
-            self.inner.queue.push_wait(pending).map_err(|e| match e {
-                PushRefused::ShuttingDown(p) => (p, RejectReason::ShuttingDown),
-                PushRefused::DeadlineExceeded(p) => (p, RejectReason::DeadlineExceeded),
-            })
-        } else {
-            self.inner.queue.try_push(pending).map_err(|(p, closed)| {
-                let reason = if closed {
-                    RejectReason::ShuttingDown
-                } else {
-                    RejectReason::QueueFull
-                };
-                (p, reason)
-            })
-        };
-        match outcome {
-            Ok(()) => {
-                self.inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-            }
-            Err((p, reason)) => reject(p.sink, reason, &self.inner.stats),
-        }
-    }
-
-    /// Non-blocking *large* admission that hands everything back on
-    /// refusal — the task-graph twin of [`Client::try_submit`], and what
-    /// a router shard delegates to. `Ok` means the request was admitted
-    /// to the large queue and the sink will be invoked exactly once.
-    #[allow(clippy::type_complexity)]
-    pub fn try_submit_large(
-        &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), (RejectReason, Payload, ReplySink)> {
-        if n == 0 || n > self.inner.max_large_n {
-            return Err((RejectReason::BadDimension, payload, sink));
-        }
-        if payload.len() != n * n {
-            return Err((RejectReason::BadPayload, payload, sink));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err((RejectReason::DeadlineExceeded, payload, sink));
-        }
-        let pending = Pending {
-            id,
-            n,
-            payload,
-            enqueued: Instant::now(),
-            deadline,
-            sink,
-        };
-        // Clone the sender out of the lock so a slow try_send never
-        // holds up drain.
-        let tx = self.inner.large_tx.lock().unwrap().clone();
-        let refused = match tx {
-            None => Err((pending, RejectReason::ShuttingDown)),
-            Some(tx) => tx.try_send(pending).map_err(|e| match e {
-                std::sync::mpsc::TrySendError::Full(p) => (p, RejectReason::QueueFull),
-                std::sync::mpsc::TrySendError::Disconnected(p) => (p, RejectReason::ShuttingDown),
-            }),
-        };
-        match refused {
-            Ok(()) => {
-                self.inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .stats
-                    .large_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err((p, reason)) => Err((reason, p.payload, p.sink)),
-        }
+        let p = pending(id, n, payload, deadline, sink);
+        self.admit_or_reject(Kind::Batch, p, blocking);
     }
 
     /// Submits a *large* request: the former is bypassed and the payload
@@ -859,14 +736,8 @@ impl Client {
         deadline: Option<Instant>,
         sink: ReplySink,
     ) {
-        if let Err((reason, _payload, sink)) = self.try_submit_large(id, n, payload, deadline, sink)
-        {
-            self.inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            sink.send(FactorReply {
-                id,
-                outcome: Outcome::Rejected(reason),
-            });
-        }
+        let p = pending(id, n, payload, deadline, sink);
+        self.admit_or_reject(Kind::Large, p, false);
     }
 
     /// Submits a large request and waits for the reply.
@@ -899,27 +770,17 @@ impl Client {
 
 /// What the TCP front-end needs from whatever answers requests: one
 /// service's [`Client`], or a [`RouterClient`](crate::router::RouterClient)
-/// fronting a whole fleet. The contract is the service one — `submit_sink`
-/// invokes its sink exactly once (inline for rejections), and once
-/// `begin_drain` stopped admission, `drained` eventually turns (and
-/// stays) true.
+/// fronting a whole fleet. The contract is the service one —
+/// `submit_kind` invokes its sink exactly once (inline for rejections),
+/// and once `begin_drain` stopped admission, `drained` eventually turns
+/// (and stays) true.
 pub trait Frontend: Clone + Send + 'static {
-    /// Submits one request; the reply arrives through `sink` exactly
-    /// once. Implementations may ignore `blocking` (the router never
-    /// blocks — it sheds with a typed backpressure reject instead).
-    fn submit_sink(
+    /// Submits one request of either kind; the reply arrives through
+    /// `sink` exactly once. Admission never blocks: a full queue is a
+    /// typed reject, never a stalled caller.
+    fn submit_kind(
         &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-        blocking: bool,
-    );
-    /// Submits one *large* (task-graph) request; same exactly-once sink
-    /// contract. Admission is always non-blocking.
-    fn submit_large_sink(
-        &self,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
@@ -935,27 +796,16 @@ pub trait Frontend: Clone + Send + 'static {
 }
 
 impl Frontend for Client {
-    fn submit_sink(
+    fn submit_kind(
         &self,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-        blocking: bool,
-    ) {
-        Client::submit_sink(self, id, n, payload, deadline, sink, blocking);
-    }
-
-    fn submit_large_sink(
-        &self,
+        kind: Kind,
         id: u64,
         n: usize,
         payload: Payload,
         deadline: Option<Instant>,
         sink: ReplySink,
     ) {
-        Client::submit_large_sink(self, id, n, payload, deadline, sink);
+        self.admit_or_reject(kind, pending(id, n, payload, deadline, sink), false);
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -1337,17 +1187,12 @@ mod tests {
 
     #[test]
     fn large_admission_validates_and_drains() {
-        let service = Service::start(
-            ServiceConfig {
-                max_large_n: 128,
-                ..ServiceConfig::default()
-            },
-            EngineSelector::heuristic(),
-        );
+        let service = Service::start(ServiceConfig::default(), EngineSelector::heuristic());
         let client = service.client();
         let r = client.call_large(1, 0, Payload::F32(vec![]));
         assert_eq!(r.outcome, Outcome::Rejected(RejectReason::BadDimension));
-        let r = client.call_large(2, 129, Payload::F32(vec![0.0; 129 * 129]));
+        let over = MAX_LARGE_N + 1;
+        let r = client.call_large(2, over, Payload::F32(vec![0.0; over * over]));
         assert_eq!(r.outcome, Outcome::Rejected(RejectReason::BadDimension));
         let r = client.call_large(3, 72, Payload::F32(vec![0.0; 10]));
         assert_eq!(r.outcome, Outcome::Rejected(RejectReason::BadPayload));
@@ -1440,5 +1285,83 @@ mod tests {
             assert!((sum - a[col * n + col]).abs() < 1e-9 * a[col * n + col].max(1.0));
         }
         service.shutdown();
+    }
+
+    /// A graceful drain must not read `drained()` while an admitted
+    /// request is still unanswered, or a server acks shutdown ahead of a
+    /// reply: admission must count a request before publishing it, and
+    /// the large path must check and send under the lock `begin_drain`
+    /// takes. This mirrors the server: replies and the ack share one
+    /// channel, and the ack must come last. The window is a few
+    /// instructions wide, so each kind races two submitters against the
+    /// drain on many fresh services.
+    #[test]
+    fn drain_never_acks_ahead_of_an_admitted_reply() {
+        use std::sync::atomic::AtomicU64;
+        const ROUNDS: usize = 300;
+        for kind in [Kind::Batch, Kind::Large] {
+            for round in 0..ROUNDS {
+                let service = Service::start(
+                    ServiceConfig {
+                        max_delay: Duration::from_micros(50),
+                        ..ServiceConfig::default()
+                    },
+                    EngineSelector::heuristic(),
+                );
+                let client = service.client();
+                // `Some(id)` is a reply, `None` the drain ack.
+                let (tx, rx) = std::sync::mpsc::channel::<Option<u64>>();
+                let admitted = Arc::new(AtomicU64::new(0));
+                let submitters: Vec<_> = (0..2u64)
+                    .map(|t| {
+                        let (client, tx, admitted) = (client.clone(), tx.clone(), admitted.clone());
+                        std::thread::spawn(move || {
+                            for seq in 0u64.. {
+                                let tx = tx.clone();
+                                let sink = ReplySink::boxed(move |r| {
+                                    let _ = tx.send(Some(r.id));
+                                });
+                                let payload = Payload::F32(vec![4.0, 2.0, 2.0, 5.0]);
+                                match client.try_submit(kind, t << 32 | seq, 2, payload, None, sink)
+                                {
+                                    Ok(()) => {
+                                        admitted.fetch_add(1, Ordering::SeqCst);
+                                    }
+                                    Err((RejectReason::ShuttingDown, ..)) => return,
+                                    Err(_) => std::thread::yield_now(), // queue full
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                // Drain at once: with little or nothing admitted yet,
+                // `drained()` reads true almost immediately, which is when
+                // a submitter between publishing and counting its request
+                // shows the race.
+                client.begin_drain();
+                let t0 = Instant::now();
+                while !client.drained() {
+                    assert!(t0.elapsed() < Duration::from_secs(20), "drain stuck");
+                    std::thread::yield_now();
+                }
+                tx.send(None).unwrap();
+                for s in submitters {
+                    s.join().unwrap();
+                }
+                service.shutdown();
+                drop(tx);
+                let log: Vec<Option<u64>> = rx.iter().collect();
+                assert_eq!(
+                    log.last(),
+                    Some(&None),
+                    "{kind:?} round {round}: a reply followed the drain ack"
+                );
+                assert_eq!(
+                    log.len() as u64 - 1,
+                    admitted.load(Ordering::SeqCst),
+                    "{kind:?} round {round}: one reply per admitted request"
+                );
+            }
+        }
     }
 }

@@ -9,9 +9,23 @@
 //! exact to within ~41% of the value — plenty for p50/p95/p99 that span
 //! orders of magnitude between an in-process call and a deadline flush.
 
+use crate::request::Kind;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How an admitted request was answered, for [`ServiceStats::deliver`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Answer {
+    /// A factor went out for a request of this kind.
+    Ok(Kind),
+    /// A per-request failure went out for a request of this kind:
+    /// non-SPD, non-finite, or a worker crash.
+    Failed(Kind),
+    /// The deadline expired before any work started; the request was
+    /// shed with [`RejectReason::DeadlineExceeded`](crate::RejectReason).
+    Shed,
+}
 
 /// Number of power-of-two latency buckets (bucket `i` covers
 /// `[2^(i-1), 2^i)` ns; bucket 0 is `< 1` ns; the last bucket is open).
@@ -41,10 +55,6 @@ pub struct ServiceStats {
     pub worker_restarts: AtomicU64,
     /// Requests shed because their deadline expired before packing.
     pub deadline_expired: AtomicU64,
-    /// Batches assembled by the fused (zero-copy scatter) ingest path.
-    pub ingest_fused: AtomicU64,
-    /// Batches assembled by the legacy stage-then-pack ingest path.
-    pub ingest_staged: AtomicU64,
     /// Large-matrix requests admitted to the task-graph pool (a subset
     /// of `requests`).
     pub large_requests: AtomicU64,
@@ -70,8 +80,6 @@ impl Default for ServiceStats {
             worker_crashes: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            ingest_fused: AtomicU64::new(0),
-            ingest_staged: AtomicU64::new(0),
             large_requests: AtomicU64::new(0),
             large_ok: AtomicU64::new(0),
             large_failed: AtomicU64::new(0),
@@ -99,20 +107,37 @@ impl ServiceStats {
             .fetch_add((frac * 1000.0) as u64, Ordering::Relaxed);
     }
 
-    /// Records which ingest path assembled one batch.
-    pub fn record_ingest(&self, fused: bool) {
-        if fused {
-            self.ingest_fused.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ingest_staged.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Records one reply's enqueue-to-reply latency.
     pub fn record_latency(&self, d: Duration) {
         let ns = d.as_nanos().min(u64::MAX as u128) as u64;
         let bucket = (64 - ns.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
         self.latency[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Delivers one admitted request's reply through `send`, then books
+    /// it. The latency clock stops before delivery; the counters bump
+    /// only after it, because [`Client::drained`](crate::Client::drained)
+    /// counts them as answered requests and a drain must never ack
+    /// ahead of a reply still on its way out.
+    pub(crate) fn deliver(&self, enqueued: Instant, answer: Answer, send: impl FnOnce()) {
+        let latency = enqueued.elapsed();
+        send();
+        // Release on the three counters `drained` reads (with Acquire):
+        // it publishes that the reply already went out.
+        let (kind, all, large) = match answer {
+            Answer::Shed => {
+                self.deadline_expired.fetch_add(1, Ordering::Release);
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Answer::Ok(kind) => (kind, &self.replies_ok, &self.large_ok),
+            Answer::Failed(kind) => (kind, &self.replies_failed, &self.large_failed),
+        };
+        self.record_latency(latency);
+        all.fetch_add(1, Ordering::Release);
+        if kind == Kind::Large {
+            large.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// A consistent-enough copy of every counter (individual loads are
@@ -144,8 +169,6 @@ impl ServiceStats {
             worker_crashes: self.worker_crashes.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            ingest_fused: self.ingest_fused.load(Ordering::Relaxed),
-            ingest_staged: self.ingest_staged.load(Ordering::Relaxed),
             large_requests: self.large_requests.load(Ordering::Relaxed),
             large_ok: self.large_ok.load(Ordering::Relaxed),
             large_failed: self.large_failed.load(Ordering::Relaxed),
@@ -180,10 +203,6 @@ pub struct StatsSnapshot {
     pub worker_restarts: u64,
     /// Requests shed on an expired deadline before packing.
     pub deadline_expired: u64,
-    /// Batches assembled by the fused (zero-copy scatter) ingest path.
-    pub ingest_fused: u64,
-    /// Batches assembled by the legacy stage-then-pack ingest path.
-    pub ingest_staged: u64,
     /// Large-matrix requests admitted to the task-graph pool (a subset
     /// of `requests`).
     pub large_requests: u64,
@@ -340,8 +359,6 @@ impl StatsSnapshot {
             worker_crashes: self.worker_crashes + other.worker_crashes,
             worker_restarts: self.worker_restarts + other.worker_restarts,
             deadline_expired: self.deadline_expired + other.deadline_expired,
-            ingest_fused: self.ingest_fused + other.ingest_fused,
-            ingest_staged: self.ingest_staged + other.ingest_staged,
             large_requests: self.large_requests + other.large_requests,
             large_ok: self.large_ok + other.large_ok,
             large_failed: self.large_failed + other.large_failed,
