@@ -1,15 +1,7 @@
-//! Guided search — the alternative to exhaustive sweeping the paper
-//! discusses (and deliberately rejects for its analysis, calling guided
-//! search a form of selection bias). Provided as an extension so the
-//! trade-off can be quantified: how close does hill climbing get, with how
-//! few evaluations?
+//! The zero-measurement kernel choice: what serving falls back to when
+//! neither a tuned dispatch table nor the analytic model answers a size.
 
-use crate::record::Measurement;
-use crate::runner::SweepOptions;
-use crate::select::{run_search, HillSelector};
-use crate::space::ParamSpace;
-use ibcf_gpu_sim::{GpuSpec, TraceCache};
-use ibcf_kernels::{KernelConfig, PlanKey};
+use ibcf_kernels::KernelConfig;
 
 /// A configuration chosen without any sweep data — the zero-measurement
 /// fallback the serving layer uses when no dispatch table exists yet.
@@ -28,168 +20,5 @@ pub fn heuristic_config(n: usize) -> KernelConfig {
         },
         nb: if n <= 8 { n } else { 4 },
         ..KernelConfig::baseline(n)
-    }
-}
-
-/// Result of a guided search.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// Best measurement found.
-    pub best: Measurement,
-    /// Number of configurations evaluated.
-    pub evaluations: usize,
-}
-
-/// Neighbors of a configuration: one parameter moved one step within the
-/// space.
-pub(crate) fn neighbors(space: &ParamSpace, c: &KernelConfig) -> Vec<KernelConfig> {
-    let mut out = Vec::new();
-    let step = |vals: &[usize], cur: usize| -> Vec<usize> {
-        let i = vals.iter().position(|&v| v == cur);
-        match i {
-            Some(i) => {
-                let mut v = Vec::new();
-                if i > 0 {
-                    v.push(vals[i - 1]);
-                }
-                if i + 1 < vals.len() {
-                    v.push(vals[i + 1]);
-                }
-                v
-            }
-            None => vals.to_vec(),
-        }
-    };
-    for nb in step(&space.nb, c.nb) {
-        out.push(KernelConfig { nb, ..*c });
-    }
-    for &looking in &space.looking {
-        if looking != c.looking {
-            out.push(KernelConfig { looking, ..*c });
-        }
-    }
-    for &chunked in &space.chunked {
-        if chunked != c.chunked {
-            out.push(KernelConfig { chunked, ..*c });
-        }
-    }
-    for chunk_size in step(&space.chunk_size, c.chunk_size) {
-        out.push(KernelConfig { chunk_size, ..*c });
-    }
-    for &unroll in &space.unroll {
-        if unroll != c.unroll {
-            out.push(KernelConfig { unroll, ..*c });
-        }
-    }
-    out
-}
-
-/// Hill climbing with random restarts over the space restricted to one
-/// arithmetic mode and cache preference (the paper's Table I variables
-/// that actually move performance).
-///
-/// A thin wrapper over the shared selector driver ([`run_search`] with a
-/// [`HillSelector`]): the driver owns the measurement loop, the
-/// configuration dedup (restarts that re-pick a visited configuration
-/// reuse its measurement instead of inflating `evaluations`), and the
-/// plan cache that makes structural-neighbor revisits price-only.
-pub fn hill_climb(
-    space: &ParamSpace,
-    n: usize,
-    batch: usize,
-    spec: &GpuSpec,
-    restarts: usize,
-    seed: u64,
-) -> SearchResult {
-    let opts = SweepOptions {
-        batch,
-        ..Default::default()
-    };
-    let cache: TraceCache<PlanKey> = TraceCache::default();
-    let mut selector = HillSelector::new(restarts, seed);
-    let outcome = run_search(&mut selector, space, n, spec, &opts, &cache);
-    SearchResult {
-        best: outcome.best,
-        evaluations: outcome.evaluated,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::best::BestTable;
-    use crate::runner::{sweep, SweepOptions};
-
-    #[test]
-    fn hill_climb_gets_close_to_exhaustive_with_fewer_evals() {
-        let space = ParamSpace::quick();
-        let spec = GpuSpec::p100();
-        let n = 24;
-        let batch = 2048;
-        let ds = sweep(
-            &space,
-            n,
-            &spec,
-            &SweepOptions {
-                batch,
-                progress_every: 0,
-                ..Default::default()
-            },
-        );
-        // The climber explores the space's first arithmetic mode (IEEE);
-        // compare under the same restriction.
-        let exhaustive = BestTable::new(&ds)
-            .best_where(n, |m| !m.config.fast_math)
-            .unwrap()
-            .gflops;
-        let result = hill_climb(&space, n, batch, &spec, 4, 7);
-        assert!(
-            result.best.gflops >= 0.9 * exhaustive,
-            "hill climb {} vs exhaustive {exhaustive}",
-            result.best.gflops
-        );
-        assert!(
-            result.evaluations < space.len_per_n(),
-            "guided search used {} >= grid {}",
-            result.evaluations,
-            space.len_per_n()
-        );
-    }
-
-    #[test]
-    fn eval_count_is_bounded_by_distinct_configs() {
-        // With 200 restarts over the (fast_math, cache_pref)-restricted
-        // quick space (144 configurations), starts *must* repeat; honest
-        // accounting keeps `evaluations` at or below the distinct count.
-        // The pre-fix code counted every restart pick, so 200 restarts
-        // alone would exceed the restricted grid.
-        let space = ParamSpace::quick();
-        let spec = GpuSpec::p100();
-        let restricted = space.nb.len()
-            * space.looking.len()
-            * space.chunked.len()
-            * space.chunk_size.len()
-            * space.unroll.len();
-        let result = hill_climb(&space, 16, 1024, &spec, 200, 3);
-        assert!(
-            result.evaluations <= restricted,
-            "evaluations {} exceed the {restricted} distinct configurations",
-            result.evaluations
-        );
-    }
-
-    #[test]
-    fn neighbors_move_one_parameter() {
-        let space = ParamSpace::paper();
-        let c = KernelConfig::baseline(16);
-        for nb in neighbors(&space, &c) {
-            let mut diffs = 0;
-            diffs += (nb.nb != c.nb) as u32;
-            diffs += (nb.looking != c.looking) as u32;
-            diffs += (nb.chunked != c.chunked) as u32;
-            diffs += (nb.chunk_size != c.chunk_size) as u32;
-            diffs += (nb.unroll != c.unroll) as u32;
-            assert_eq!(diffs, 1, "{nb}");
-        }
     }
 }

@@ -4,7 +4,8 @@
 //! sweep of the kernel configuration space (the paper reports over 14,000
 //! successful runs), persisted as a dataset for post-mortem analysis, plus
 //! best-configuration extraction sliced every way the figures need and a
-//! guided-search extension (hill climbing) for comparison.
+//! model-guided selector (the analytic prior with early stopping) that
+//! measures a few percent of the grid.
 
 #![warn(missing_docs)]
 
@@ -33,7 +34,7 @@ pub use runner::{
 };
 pub use select::{
     run_search, run_sizes, run_sizes_logged, AnalyticSelector, Candidate, Evaluation,
-    ExhaustiveSelector, HeuristicSelector, HillSelector, SelectCtx, SelectionReport, Selector,
-    SelectorKind, SizeOutcome,
+    ExhaustiveSelector, HeuristicSelector, SelectCtx, SelectionReport, Selector, SelectorKind,
+    SizeOutcome,
 };
 pub use space::ParamSpace;

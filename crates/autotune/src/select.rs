@@ -1,7 +1,7 @@
 //! The pluggable selector layer: one search driver, many strategies.
 //!
 //! Every way this repo chooses a kernel configuration — the exhaustive
-//! sweep, the analytic prior ([`crate::analytic`]), hill climbing, the
+//! sweep, the analytic prior ([`crate::analytic`]), the
 //! zero-measurement heuristic — is a [`Selector`]: a candidate proposal
 //! plus a stopping policy. One driver ([`run_search`]) owns the
 //! measurement loop, the shared [`TraceCache`], deduplication, and the
@@ -18,7 +18,7 @@
 
 use crate::analytic;
 use crate::dispatch::{DispatchTable, TableProvenance};
-use crate::heuristics::{heuristic_config, neighbors};
+use crate::heuristics::heuristic_config;
 use crate::log::{grid_configs, ShardSpec, SweepLog, SweepLogHeader, SweepLogWriter};
 use crate::log::{LOG_FORMAT, LOG_VERSION};
 use crate::record::{Dataset, Measurement};
@@ -28,8 +28,6 @@ use crate::runner::{
 use crate::space::ParamSpace;
 use ibcf_gpu_sim::{CacheStats, GpuSpec, TraceCache};
 use ibcf_kernels::{KernelConfig, PlanKey};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::Path;
 use std::time::Instant;
@@ -238,118 +236,6 @@ impl Selector for AnalyticSelector {
     }
 }
 
-/// Hill climbing with random restarts, restricted (like the legacy
-/// `hill_climb`) to the space's first arithmetic mode and cache
-/// preference — ported onto the selector driver so it shares the
-/// measurement loop, dedup, and log with every other strategy.
-#[derive(Debug, Clone)]
-pub struct HillSelector {
-    restarts: usize,
-    rng: StdRng,
-    started: usize,
-    phase: HillPhase,
-}
-
-#[derive(Debug, Clone)]
-enum HillPhase {
-    Start,
-    AwaitStart(KernelConfig),
-    Climb { cur: KernelConfig, cur_time: f64 },
-    Done,
-}
-
-impl HillSelector {
-    /// A climber doing `restarts` random restarts with the given seed.
-    pub fn new(restarts: usize, seed: u64) -> Self {
-        HillSelector {
-            restarts: restarts.max(1),
-            rng: StdRng::seed_from_u64(seed),
-            started: 0,
-            phase: HillPhase::Start,
-        }
-    }
-
-    fn pick(&mut self, ctx: &SelectCtx<'_>) -> KernelConfig {
-        let space = ctx.space;
-        KernelConfig {
-            n: ctx.n,
-            nb: space.nb[self.rng.random_range(0..space.nb.len())],
-            looking: space.looking[self.rng.random_range(0..space.looking.len())],
-            chunked: space.chunked[self.rng.random_range(0..space.chunked.len())],
-            chunk_size: space.chunk_size[self.rng.random_range(0..space.chunk_size.len())],
-            unroll: space.unroll[self.rng.random_range(0..space.unroll.len())],
-            fast_math: space.fast_math[0],
-            cache_pref: space.cache_pref[0],
-        }
-    }
-}
-
-impl Selector for HillSelector {
-    fn name(&self) -> &'static str {
-        "hill"
-    }
-
-    fn candidates(&mut self, ctx: &SelectCtx<'_>) -> Vec<Candidate> {
-        self.refine(ctx, &[])
-    }
-
-    fn refine(&mut self, ctx: &SelectCtx<'_>, history: &[Evaluation]) -> Vec<Candidate> {
-        let lookup = |c: &KernelConfig| {
-            history
-                .iter()
-                .find(|e| e.m.config == *c)
-                .map(|e| e.m.time_s)
-        };
-        loop {
-            match self.phase.clone() {
-                HillPhase::Done => return Vec::new(),
-                HillPhase::Start => {
-                    if self.started >= self.restarts {
-                        self.phase = HillPhase::Done;
-                        continue;
-                    }
-                    self.started += 1;
-                    let c = self.pick(ctx);
-                    self.phase = HillPhase::AwaitStart(c);
-                }
-                HillPhase::AwaitStart(c) => match lookup(&c) {
-                    Some(t) => {
-                        self.phase = HillPhase::Climb {
-                            cur: c,
-                            cur_time: t,
-                        };
-                    }
-                    None => return vec![Candidate::plain(c)],
-                },
-                HillPhase::Climb { cur, cur_time } => {
-                    let nbrs = neighbors(ctx.space, &cur);
-                    let unmeasured: Vec<Candidate> = nbrs
-                        .iter()
-                        .filter(|c| lookup(c).is_none())
-                        .map(|c| Candidate::plain(*c))
-                        .collect();
-                    if !unmeasured.is_empty() {
-                        return unmeasured;
-                    }
-                    let best = nbrs
-                        .iter()
-                        .filter_map(|c| lookup(c).map(|t| (*c, t)))
-                        .min_by(|a, b| a.1.total_cmp(&b.1));
-                    match best {
-                        Some((c, t)) if t < cur_time => {
-                            self.phase = HillPhase::Climb {
-                                cur: c,
-                                cur_time: t,
-                            };
-                        }
-                        _ => self.phase = HillPhase::Start,
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The §11 zero-measurement heuristic as a (single-candidate) selector —
 /// the tail of the serving fallback chain, expressed in the same terms
 /// as every other strategy.
@@ -372,8 +258,6 @@ pub enum SelectorKind {
     Exhaustive,
     /// Analytic ranking + confidence-interval early stopping.
     Analytic,
-    /// Hill climbing with random restarts.
-    Hill,
     /// The zero-measurement §11 heuristic.
     Heuristic,
 }
@@ -384,7 +268,6 @@ impl SelectorKind {
         match s.to_ascii_lowercase().as_str() {
             "exhaustive" | "sweep" => Some(SelectorKind::Exhaustive),
             "analytic" | "model" => Some(SelectorKind::Analytic),
-            "hill" | "hill-climb" => Some(SelectorKind::Hill),
             "heuristic" => Some(SelectorKind::Heuristic),
             _ => None,
         }
@@ -395,7 +278,6 @@ impl SelectorKind {
         match self {
             SelectorKind::Exhaustive => "exhaustive",
             SelectorKind::Analytic => "analytic",
-            SelectorKind::Hill => "hill",
             SelectorKind::Heuristic => "heuristic",
         }
     }
@@ -405,7 +287,6 @@ impl SelectorKind {
         match self {
             SelectorKind::Exhaustive => Box::new(ExhaustiveSelector),
             SelectorKind::Analytic => Box::new(AnalyticSelector::new(opts.noise_sigma)),
-            SelectorKind::Hill => Box::new(HillSelector::new(4, opts.noise_seed ^ 0x5E1EC7)),
             SelectorKind::Heuristic => Box::new(HeuristicSelector),
         }
     }
@@ -890,26 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn hill_selector_dedups_across_restarts() {
-        let space = ParamSpace::quick();
-        let spec = GpuSpec::p100();
-        let opts = p100_opts(1024);
-        let cache = TraceCache::default();
-        let mut sel = HillSelector::new(200, 3);
-        let out = run_search(&mut sel, &space, 16, &spec, &opts, &cache);
-        let restricted = space.nb.len()
-            * space.looking.len()
-            * space.chunked.len()
-            * space.chunk_size.len()
-            * space.unroll.len();
-        assert!(
-            out.evaluated <= restricted,
-            "evaluated {} > {restricted} distinct restricted configs",
-            out.evaluated
-        );
-    }
-
-    #[test]
     fn selector_kind_parses() {
         assert_eq!(
             SelectorKind::parse("analytic"),
@@ -919,7 +780,6 @@ mod tests {
             SelectorKind::parse("EXHAUSTIVE"),
             Some(SelectorKind::Exhaustive)
         );
-        assert_eq!(SelectorKind::parse("hill"), Some(SelectorKind::Hill));
         assert_eq!(
             SelectorKind::parse("heuristic"),
             Some(SelectorKind::Heuristic)

@@ -6,16 +6,17 @@
 //!   instant-reply backends, against calling one backend directly. This
 //!   is the number the `(n, dtype)`-keyed tier must keep negligible
 //!   next to a ~ms factorization round trip;
-//! * `fleet_end_to_end` — a 3-shard in-process fleet vs a single
-//!   service of equal total worker count, full submit → batch →
-//!   factorize → reply round trips, so rehoming traffic across formers
-//!   (smaller per-shard batches) shows its real cost.
+//! * `fleet_end_to_end` — a single service called directly vs the same
+//!   service behind a one-slot router (every `ibcf serve` runs one) vs
+//!   a 3-shard in-process fleet, full submit → batch → factorize →
+//!   reply round trips, so the router hop and rehoming traffic across
+//!   formers (smaller per-shard batches) show their real cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ibcf_core::spd::{random_spd, SpdKind};
 use ibcf_service::{
-    EngineSelector, Frontend, InProcessShard, Kind, Payload, ReplySink, RoutePolicy, Router,
-    RouterConfig, Service, ServiceConfig, ShardBackend, StatsSnapshot, SubmitRefusal,
+    EngineSelector, InProcessShard, Kind, Payload, ReplySink, RoutePolicy, Router, RouterConfig,
+    Service, ServiceConfig, ShardBackend, StatsSnapshot, SubmitRefusal,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -242,19 +243,25 @@ fn bench_fleet_end_to_end(c: &mut Criterion) {
         service.shutdown();
     });
 
-    g.bench_function(format!("routed_3shards_submit{BATCH}"), |b| {
-        let backends: Vec<Arc<dyn ShardBackend>> = (0..3)
-            .map(|i| {
-                let service = Service::start(service_config(), EngineSelector::heuristic());
-                Arc::new(InProcessShard::new(format!("shard-{i}"), service))
-                    as Arc<dyn ShardBackend>
-            })
-            .collect();
-        let router = Router::start(backends, RouterConfig::default());
-        let client = router.client();
-        b.iter(|| run_round(&|id, p, sink| client.submit_kind(Kind::Batch, id, N, p, None, sink)));
-        router.shutdown();
-    });
+    // One shard is what a single `ibcf serve` runs: the router hop over
+    // the direct call above, with nothing to spread across.
+    for shard_count in [1usize, 3] {
+        g.bench_function(format!("routed_{shard_count}shards_submit{BATCH}"), |b| {
+            let backends: Vec<Arc<dyn ShardBackend>> = (0..shard_count)
+                .map(|i| {
+                    let service = Service::start(service_config(), EngineSelector::heuristic());
+                    Arc::new(InProcessShard::new(format!("shard-{i}"), service))
+                        as Arc<dyn ShardBackend>
+                })
+                .collect();
+            let router = Router::start(backends, RouterConfig::default());
+            let client = router.client();
+            b.iter(|| {
+                run_round(&|id, p, sink| client.submit_kind(Kind::Batch, id, N, p, None, sink))
+            });
+            router.shutdown();
+        });
+    }
 
     g.finish();
 }

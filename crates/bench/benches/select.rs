@@ -1,7 +1,7 @@
 //! Selector-strategy bench: configs evaluated and tuning wall-time vs
 //! regret, per strategy. The exhaustive sweep is the reference (zero
-//! regret by construction); the analytic and hill selectors trade a
-//! bounded regret for measuring a small fraction of the grid. The
+//! regret by construction); the analytic selector trades a bounded
+//! regret for measuring a small fraction of the grid. The
 //! summary printed at the end is the table EXPERIMENTS.md quotes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,11 +34,7 @@ fn run(kind: SelectorKind) -> (usize, f64) {
 fn bench_select(c: &mut Criterion) {
     let mut group = c.benchmark_group("select");
     group.sample_size(10);
-    for kind in [
-        SelectorKind::Exhaustive,
-        SelectorKind::Analytic,
-        SelectorKind::Hill,
-    ] {
+    for kind in [SelectorKind::Exhaustive, SelectorKind::Analytic] {
         group.bench_function(kind.name(), |b| b.iter(|| run(kind)));
     }
     group.finish();
@@ -58,11 +54,7 @@ fn bench_select(c: &mut Criterion) {
     let exhaustive_ds = exhaustive.dataset(&space);
     let truth = BestTable::new(&exhaustive_ds);
     println!("selector     configs      wall_s   worst_regret");
-    for kind in [
-        SelectorKind::Exhaustive,
-        SelectorKind::Analytic,
-        SelectorKind::Hill,
-    ] {
+    for kind in [SelectorKind::Exhaustive, SelectorKind::Analytic] {
         let report = run_sizes(kind, &space, SIZES, &spec, &opts(), &SilentProgress);
         let worst = report
             .outcomes

@@ -35,11 +35,11 @@ commands:
   best      --n N [--batch B] [--quick]      sweep one size, print winners
   sweep     --sizes 8,16,24 [--out F.jsonl] [--log F.log] [--shard i/k]
             [--batch B] [--quick] [--noise SIGMA] [--noise-seed S]
-            [--selector exhaustive|analytic|hill]
+            [--selector exhaustive|analytic]
             run a sweep and persist the dataset; with --log, stream every
             measurement to a crash-safe resumable log; --selector swaps
-            the exhaustive grid for a model-guided or hill-climbing
-            search over the same logging machinery
+            the exhaustive grid for the model-guided search over the
+            same logging machinery
   resume    --log F.log [--out F.jsonl]
             finish an interrupted sweep from its log (all sweep
             parameters come from the log header)
@@ -50,7 +50,7 @@ commands:
   analyze   --data F.jsonl [--trees T]       random-forest importances
   tune      --data F.jsonl --out D.jsonl [--fast]
             build a per-size dispatch table from a sweep dataset; or
-  tune      --out D.jsonl [--sizes 8,...,64] [--selector analytic|hill]
+  tune      --out D.jsonl [--sizes 8,...,64] [--selector analytic]
             [--gpu G] [--batch B] [--quick] [--regret]
             search directly (no dataset needed): the analytic model
             ranks candidates and early stopping measures only the
@@ -81,9 +81,10 @@ commands:
             small requests (n <= N) are batched, large ones (n <= 1024)
             run on a task-graph pool, and both kinds share one submit
             path (engine plans fall back table -> analytic model for
-            gpu G -> heuristics; each tier is optional); --shards N > 1
-            runs a health-checked in-process fleet behind a router keyed by
-            (n, dtype) — a full shard answers with a typed backpressure
+            gpu G -> heuristics; each tier is optional); every server
+            is a health-checked router keyed by (n, dtype) over N >= 1
+            shards — one in-process service by default, --shards N of
+            them — and a full shard answers with a typed backpressure
             reject carrying the --retry-after-us hint; --procs N runs
             each shard as a supervised *child process* instead
             (OS-level isolation: dead children are respawned with
@@ -92,7 +93,8 @@ commands:
             straggling request to a second shard after U us (first
             reply wins, the duplicate is suppressed); --shard-child is
             the child's own mode: bind an ephemeral port, print
-            'shard-child listening on H:P', serve one shard;
+            'shard-child listening on H:P', serve one shard through
+            its own one-slot router;
             IBCF_SIMD=off pins workers (and shard children, which
             inherit it) to the autovectorized lane kernels
   loadgen   [--addr H:P] [--sizes 16,24] [--dtype f32|f64]
@@ -113,14 +115,15 @@ commands:
             fault plan (worker-panic, slow-batch, queue-stall,
             conn-drop, frame-corrupt, shard-kill, proc-kill, mixed,
             inert) and verify the exactly-one-reply invariant: 0 lost,
-            0 duplicates; --shards N > 1 routes over an in-process
-            fleet and lets the plan kill whole shards mid-run
-            (failover must keep the invariant); --procs N > 1 runs the
+            0 duplicates; the server routes over --shards N in-process
+            shards (one by default) and the shard-kill plan kills whole
+            shards mid-run (the last one is immune, so it needs N > 1;
+            failover must keep the invariant); --procs N > 1 runs the
             shards as real child processes and lets the proc-kill plan
             SIGKILL them mid-run — the run must show every kill
             respawned, the fleet healthy again, and zero
-            lost/duplicate replies (optionally hedged via
-            --hedge-after-us)
+            lost/duplicate replies; --hedge-after-us U hedges
+            stragglers on any fleet of two or more shards
   help                                        this text
 ";
 
@@ -133,7 +136,7 @@ fn gpu_of(args: &Args) -> Result<GpuSpec, String> {
 fn selector_of(args: &Args) -> Result<SelectorKind, String> {
     let name = args.get("selector", "exhaustive".to_string())?;
     SelectorKind::parse(&name)
-        .ok_or_else(|| format!("unknown selector {name} (use exhaustive, analytic, or hill)"))
+        .ok_or_else(|| format!("unknown selector {name} (use exhaustive or analytic)"))
 }
 
 fn config_of(args: &Args) -> Result<KernelConfig, String> {
@@ -377,9 +380,8 @@ fn print_selection_stats(report: &SelectionReport) {
 ///
 /// `--selector` swaps the strategy: `exhaustive` (default) measures the
 /// whole grid; `analytic` measures the analytic model's ranking with
-/// early stopping; `hill` runs restarted hill climbing. All strategies
-/// share the logging/resume machinery (`--log`), though only the
-/// exhaustive sweep shards.
+/// early stopping. Both share the logging/resume machinery (`--log`),
+/// though only the exhaustive sweep shards.
 pub fn sweep(args: &Args) -> i32 {
     let sizes = match args.require("sizes").and_then(parse_sizes) {
         Ok(s) => s,
@@ -1095,15 +1097,50 @@ pub fn tiled_bench(args: &Args) -> i32 {
     0
 }
 
+/// One router over N ≥ 1 shards — the one set-up `serve` and `chaos`
+/// share. With `procs > 0` the shards are supervised child processes
+/// running `ibcf serve --shard-child` plus `child_args`; otherwise they
+/// are `shards` in-process services made by `start`. `cfg.fault` drives
+/// both the router's shard kills and the supervisor's process kills.
+/// The process fleet, if any, comes back beside the router so the
+/// caller can stop respawns before the router drains the children.
+fn start_fleet(
+    procs: usize,
+    shards: usize,
+    child_args: &[String],
+    start: impl Fn() -> ibcf_service::Service,
+    cfg: ibcf_service::RouterConfig,
+) -> Result<(ibcf_service::Router, Option<ibcf_service::Fleet>), String> {
+    use ibcf_service::{Fleet, FleetConfig, InProcessShard, Router, ShardBackend};
+    use std::sync::Arc;
+    let (backends, fleet) = if procs > 0 {
+        let exe = std::env::current_exe()
+            .map_err(|e| format!("resolving own executable for shard children: {e}"))?;
+        let mut fleet_cfg = FleetConfig::new(exe, procs);
+        fleet_cfg.child_args.extend_from_slice(child_args);
+        fleet_cfg.fault = cfg.fault.clone();
+        let fleet = Fleet::spawn(fleet_cfg).map_err(|e| format!("spawning shard fleet: {e}"))?;
+        (fleet.backends(), Some(fleet))
+    } else {
+        let backends: Vec<Arc<dyn ShardBackend>> = (0..shards)
+            .map(|i| -> Arc<dyn ShardBackend> {
+                Arc::new(InProcessShard::new(format!("shard-{i}"), start()))
+            })
+            .collect();
+        (backends, None)
+    };
+    Ok((Router::start(backends, cfg), fleet))
+}
+
 /// `ibcf serve`: run the dynamic-batching factorization service over
-/// TCP — one service, or (`--shards N`) a router-fronted in-process
-/// fleet with health-checked failover and typed backpressure.
+/// TCP behind one router — over one in-process service by default,
+/// `--shards N` of them, or `--procs N` supervised shard processes —
+/// with health-checked failover and typed backpressure.
 pub fn serve(args: &Args) -> i32 {
     use ibcf_service::{
-        EngineSelector, Fleet, FleetConfig, InProcessShard, RoutePolicy, Router, RouterConfig,
-        Service, ServiceConfig, ShardBackend, TcpServer, SHARD_READY_PREFIX,
+        EngineSelector, RoutePolicy, RouterConfig, Service, ServiceConfig, TcpServer,
+        SHARD_READY_PREFIX,
     };
-    use std::sync::Arc;
     let host = match args.get("host", "127.0.0.1".to_string()) {
         Ok(h) => h,
         Err(e) => return fail(e),
@@ -1198,109 +1235,69 @@ pub fn serve(args: &Args) -> i32 {
     use std::io::Write as _;
     let hedge_after =
         (hedge_after_us > 0).then(|| std::time::Duration::from_micros(hedge_after_us));
-    let (run, snap) = if shard_child {
-        let service = Service::start(config, selector);
-        let client = service.client();
+    // A shard child serves one shard with this server's settings; it
+    // hands out the retry-after hint itself when its queue fills.
+    let mut child_args: Vec<String> = vec![
+        "--workers".into(),
+        workers.to_string(),
+        "--queue-cap".into(),
+        queue_cap.to_string(),
+        "--max-batch".into(),
+        max_batch.to_string(),
+        "--max-delay-us".into(),
+        max_delay_us.to_string(),
+        "--max-n".into(),
+        max_n.to_string(),
+        "--retry-after-us".into(),
+        retry_after_us.to_string(),
+    ];
+    for opt in ["dispatch", "analytic"] {
+        if let Some(v) = args.options.get(opt) {
+            child_args.extend([format!("--{opt}"), v.clone()]);
+        }
+    }
+    let cfg = RouterConfig {
+        policy,
+        retry_after_us,
+        hedge_after,
+        ..RouterConfig::default()
+    };
+    let start = || Service::start(config.clone(), selector.clone());
+    let (router, mut fleet) = match start_fleet(procs, shards, &child_args, start, cfg) {
+        Ok(f) => f,
+        Err(e) => return fail(e),
+    };
+    if shard_child {
         println!("{SHARD_READY_PREFIX}{addr}");
-        std::io::stdout().flush().ok();
-        let run = server.run(client);
-        (run, service.shutdown())
-    } else if procs > 0 {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => return fail(format!("resolving own executable for shard children: {e}")),
+    } else {
+        let topology = match &fleet {
+            Some(_) => format!("{procs} shard process(es)"),
+            None => format!("{shards} in-process shard(s)"),
         };
-        let mut fleet_cfg = FleetConfig::new(exe, procs);
-        let mut child_args: Vec<String> = vec![
-            "serve".into(),
-            "--shard-child".into(),
-            "--workers".into(),
-            workers.to_string(),
-            "--queue-cap".into(),
-            queue_cap.to_string(),
-            "--max-batch".into(),
-            max_batch.to_string(),
-            "--max-delay-us".into(),
-            max_delay_us.to_string(),
-            "--max-n".into(),
-            max_n.to_string(),
-        ];
-        if let Some(p) = args.options.get("dispatch") {
-            child_args.extend(["--dispatch".into(), p.clone()]);
-        }
-        if let Some(g) = args.options.get("analytic") {
-            child_args.extend(["--analytic".into(), g.clone()]);
-        }
-        fleet_cfg.child_args = child_args;
-        let mut fleet = match Fleet::spawn(fleet_cfg) {
-            Ok(f) => f,
-            Err(e) => return fail(format!("spawning shard fleet: {e}")),
-        };
-        let router = Router::start(
-            fleet.backends(),
-            RouterConfig {
-                policy,
-                retry_after_us,
-                hedge_after,
-                ..RouterConfig::default()
-            },
-        );
         println!(
             "serving on {addr} ({engine} engine, simd {simd}, \
-             {procs} shard process(es) x {workers} worker(s), \
+             {topology} x {workers} worker(s), \
              {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
              deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})"
         );
-        println!("fleet pids: {:?}", fleet.child_pids());
-        std::io::stdout().flush().ok();
-        let run = server.run(router.client());
-        // Respawns stop first, then each child drains gracefully and is
-        // reaped — serve --procs never leaves orphan processes behind.
-        fleet.stop_supervisor();
-        let snap = router.shutdown();
+        if let Some(f) = &fleet {
+            println!("fleet pids: {:?}", f.child_pids());
+        }
+    }
+    std::io::stdout().flush().ok();
+    let run = server.run(router.client());
+    // Respawns stop first, then each child drains gracefully and is
+    // reaped — serve --procs never leaves orphan processes behind.
+    if let Some(f) = fleet.as_mut() {
+        f.stop_supervisor();
+    }
+    let snap = router.shutdown();
+    if let Some(f) = &fleet {
         println!(
             "fleet: {} respawn(s); all shard processes reaped",
-            fleet.respawns()
+            f.respawns()
         );
-        (run, snap)
-    } else if shards > 1 {
-        let backends: Vec<Arc<dyn ShardBackend>> = (0..shards)
-            .map(|i| {
-                let service = Service::start(config.clone(), selector.clone());
-                Arc::new(InProcessShard::new(format!("shard-{i}"), service))
-                    as Arc<dyn ShardBackend>
-            })
-            .collect();
-        let router = Router::start(
-            backends,
-            RouterConfig {
-                policy,
-                retry_after_us,
-                hedge_after,
-                ..RouterConfig::default()
-            },
-        );
-        println!(
-            "serving on {addr} ({engine} engine, simd {simd}, \
-             {shards} shards x {workers} worker(s), \
-             {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})"
-        );
-        std::io::stdout().flush().ok();
-        let run = server.run(router.client());
-        (run, router.shutdown())
-    } else {
-        let service = Service::start(config, selector);
-        let client = service.client();
-        println!(
-            "serving on {addr} ({engine} engine, simd {simd}, \
-             {workers} worker(s), batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}, n <= {max_n})"
-        );
-        std::io::stdout().flush().ok();
-        let run = server.run(client);
-        (run, service.shutdown())
-    };
+    }
     if let Err(e) = run {
         return fail(format!("server loop: {e}"));
     }
@@ -1456,11 +1453,9 @@ pub fn loadgen(args: &Args) -> i32 {
 /// frame corruption) from per-site logical clocks, not wall time.
 pub fn chaos(args: &Args) -> i32 {
     use ibcf_service::{
-        ArrivalMode, Dtype, EngineSelector, FaultHook, FaultPlan, Fleet as ProcFleet, FleetConfig,
-        Frontend, InProcessShard, LoadgenConfig, RetryPolicy, Router, RouterConfig, Service,
-        ServiceConfig, ShardBackend, TcpConn, TcpServer,
+        ArrivalMode, Dtype, EngineSelector, FaultHook, FaultPlan, LoadgenConfig, RetryPolicy,
+        RouterConfig, Service, ServiceConfig, TcpConn, TcpServer,
     };
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
     let sizes = match args
         .options
@@ -1549,65 +1544,30 @@ pub fn chaos(args: &Args) -> i32 {
         fault: hook.clone(),
         ..ServiceConfig::default()
     };
-    // One service, a routed in-process fleet the plan can kill whole
-    // shards of, or a process fleet the plan can SIGKILL children of.
-    enum Fleet {
-        Single(Service),
-        Routed(Router),
-        Procs(ProcFleet, Router),
-    }
-    let fleet = if procs > 0 {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => return fail(format!("resolving own executable for shard children: {e}")),
-        };
-        let mut fleet_cfg = FleetConfig::new(exe, procs);
-        // The children run *without* fault injection: the proc-kill
-        // plan fires supervisor-side (real SIGKILL), so every observed
-        // failure is genuine process death, not an in-process fault.
-        fleet_cfg.child_args = vec![
-            "serve".into(),
-            "--shard-child".into(),
-            "--workers".into(),
-            workers.to_string(),
-            "--max-batch".into(),
-            max_batch.to_string(),
-            "--max-delay-us".into(),
-            "500".into(),
-        ];
-        fleet_cfg.fault = hook.clone();
-        let fleet = match ProcFleet::spawn(fleet_cfg) {
-            Ok(f) => f,
-            Err(e) => return fail(format!("spawning shard fleet: {e}")),
-        };
-        let router = Router::start(
-            fleet.backends(),
-            RouterConfig {
-                health_interval: Duration::from_millis(2),
-                fault: hook.clone(),
-                hedge_after: (hedge_after_us > 0).then(|| Duration::from_micros(hedge_after_us)),
-                ..RouterConfig::default()
-            },
-        );
-        Fleet::Procs(fleet, router)
-    } else if shards > 1 {
-        let backends: Vec<Arc<dyn ShardBackend>> = (0..shards)
-            .map(|i| {
-                let service = Service::start(service_config.clone(), EngineSelector::heuristic());
-                Arc::new(InProcessShard::new(format!("shard-{i}"), service))
-                    as Arc<dyn ShardBackend>
-            })
-            .collect();
-        Fleet::Routed(Router::start(
-            backends,
-            RouterConfig {
-                health_interval: Duration::from_millis(2),
-                fault: hook.clone(),
-                ..RouterConfig::default()
-            },
-        ))
-    } else {
-        Fleet::Single(Service::start(service_config, EngineSelector::heuristic()))
+    // The children run *without* fault injection: the proc-kill plan
+    // fires supervisor-side (real SIGKILL), so every observed failure is
+    // genuine process death, not an in-process fault.
+    let child_args: Vec<String> = vec![
+        "--workers".into(),
+        workers.to_string(),
+        "--max-batch".into(),
+        max_batch.to_string(),
+        "--max-delay-us".into(),
+        "500".into(),
+    ];
+    let cfg = RouterConfig {
+        health_interval: Duration::from_millis(2),
+        fault: hook.clone(),
+        hedge_after: (hedge_after_us > 0).then(|| Duration::from_micros(hedge_after_us)),
+        ..RouterConfig::default()
+    };
+    // One router over one service, an in-process fleet the plan can
+    // kill whole shards of, or a process fleet the plan can SIGKILL
+    // children of.
+    let start = || Service::start(service_config.clone(), EngineSelector::heuristic());
+    let (router, mut proc_fleet) = match start_fleet(procs, shards, &child_args, start, cfg) {
+        Ok(f) => f,
+        Err(e) => return fail(e),
     };
     let server = match TcpServer::bind("127.0.0.1:0") {
         Ok(s) => s,
@@ -1617,32 +1577,22 @@ pub fn chaos(args: &Args) -> i32 {
         Ok(a) => a.to_string(),
         Err(e) => return fail(e),
     };
-    let server_hook = hook.clone();
-    let server_thread = match &fleet {
-        Fleet::Single(service) => {
-            let client = service.client();
-            std::thread::spawn(move || server.run_with_faults(client, server_hook))
-        }
-        Fleet::Routed(router) | Fleet::Procs(_, router) => {
-            let client = router.client();
-            std::thread::spawn(move || server.run_with_faults(client, server_hook))
-        }
+    let client = router.client();
+    let server_thread = {
+        let (client, hook) = (client.clone(), hook.clone());
+        std::thread::spawn(move || server.run_with_faults(client, hook))
     };
-    if procs > 0 {
-        println!(
-            "chaos: plan {plan_name} seed {seed}, {requests} requests \
-             ({plant_bad} planted non-SPD), sizes {sizes:?}, {conns} conn(s), \
-             {procs} shard process(es), {workers} worker(s)/shard, batch <= {max_batch}"
-        );
-        if hedge_after_us > 0 {
-            println!("       hedging stragglers after {hedge_after_us} us");
-        }
-    } else {
-        println!(
-            "chaos: plan {plan_name} seed {seed}, {requests} requests \
-             ({plant_bad} planted non-SPD), sizes {sizes:?}, {conns} conn(s), \
-             {shards} shard(s), {workers} worker(s), batch <= {max_batch}"
-        );
+    let (total, what) = match &proc_fleet {
+        Some(_) => (procs, "shard processes"),
+        None => (shards, "shards"),
+    };
+    println!(
+        "chaos: plan {plan_name} seed {seed}, {requests} requests \
+         ({plant_bad} planted non-SPD), sizes {sizes:?}, {conns} conn(s), \
+         {total} {what}, {workers} worker(s)/shard, batch <= {max_batch}"
+    );
+    if hedge_after_us > 0 {
+        println!("       hedging stragglers after {hedge_after_us} us");
     }
     if large_every > 0 {
         println!("       every {large_every}th request is large (n = {large_n}, task-graph path)");
@@ -1673,30 +1623,31 @@ pub fn chaos(args: &Args) -> i32 {
     // good, after which probes legitimately fail forever. Deadline-based
     // polling, no fixed sleeps: every budgeted SIGKILL fired, every
     // killed child respawned, every shard alive and probing healthy.
-    let proc_recovered = match &fleet {
-        Fleet::Procs(proc_fleet, router) => {
-            let expected_kills: u64 = if plan_name == "proc-kill" { 2 } else { 0 };
-            let client = router.client();
-            let deadline = Instant::now() + Duration::from_secs(15);
-            Some(loop {
-                let kills_done = proc_fleet.proc_kills() >= expected_kills;
-                let respawned = proc_fleet.respawns() >= proc_fleet.proc_kills();
-                let alive = proc_fleet.all_children_alive();
-                let healthy = client
-                    .stats()
-                    .shards
-                    .is_some_and(|s| !s.is_empty() && s.iter().all(|sh| sh.healthy));
-                if kills_done && respawned && alive && healthy {
-                    break true;
-                }
-                if Instant::now() >= deadline {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            })
+    let recovered = proc_fleet.as_ref().map(|fleet| {
+        let expected_kills: u64 = if plan_name == "proc-kill" { 2 } else { 0 };
+        let deadline = Instant::now() + Duration::from_secs(15);
+        loop {
+            let kills_done = fleet.proc_kills() >= expected_kills;
+            let respawned = fleet.respawns() >= fleet.proc_kills();
+            let alive = fleet.all_children_alive();
+            let healthy = client
+                .stats()
+                .shards
+                .is_some_and(|s| !s.is_empty() && s.iter().all(|sh| sh.healthy));
+            if kills_done && respawned && alive && healthy {
+                break true;
+            }
+            if Instant::now() >= deadline {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        _ => None,
-    };
+    });
+    // The live healthy picture, captured before the drain flattens it.
+    let survivors = client
+        .stats()
+        .shards
+        .map_or(0, |s| s.iter().filter(|sh| sh.healthy).count());
     // Stop the server. The shutdown connection itself can be a fault
     // victim, so keep asking until the run loop actually exits.
     let stop_start = Instant::now();
@@ -1710,42 +1661,20 @@ pub fn chaos(args: &Args) -> i32 {
         return fail("chaos server did not drain within 30 s");
     }
     let run = server_thread.join().expect("chaos server thread");
-    // For a routed fleet, capture the live healthy/killed picture before
-    // shutdown flattens it, then fold in the router counters.
-    let (snap, routing, proc_info) = match fleet {
-        Fleet::Single(service) => (service.shutdown(), None, None),
-        Fleet::Routed(router) => {
-            let kills = router.kills();
-            let failovers = router.failovers();
-            let backpressured = router.backpressured();
-            // The loadgen's final stats fetch ran before shutdown
-            // drained the fleet, so its shard list is the live picture.
-            let survivors = report
-                .server
-                .shards
-                .as_ref()
-                .map_or(0, |s| s.iter().filter(|sh| sh.healthy).count());
-            (
-                router.shutdown(),
-                Some((kills, failovers, backpressured, survivors)),
-                None,
-            )
+    // A plan kills either whole shards (router-side) or shard processes
+    // (supervisor-side); respawns stop before the router drains.
+    let (proc_kills, respawns) = match proc_fleet.as_mut() {
+        Some(fleet) => {
+            let counts = (fleet.proc_kills(), fleet.respawns());
+            fleet.stop_supervisor();
+            counts
         }
-        Fleet::Procs(mut proc_fleet, router) => {
-            let recovered = proc_recovered.unwrap_or(false);
-            let proc_kills = proc_fleet.proc_kills();
-            let respawns = proc_fleet.respawns();
-            proc_fleet.stop_supervisor();
-            let failovers = router.failovers();
-            let backpressured = router.backpressured();
-            let snap = router.shutdown();
-            (
-                snap,
-                Some((proc_kills, failovers, backpressured, procs)),
-                Some((proc_kills, respawns, recovered)),
-            )
-        }
+        None => (0, 0),
     };
+    let kills = router.kills() + proc_kills;
+    let failovers = router.failovers();
+    let backpressured = router.backpressured();
+    let snap = router.shutdown();
     if let Err(e) = run {
         return fail(format!("chaos server loop: {e}"));
     }
@@ -1757,19 +1686,11 @@ pub fn chaos(args: &Args) -> i32 {
         snap.worker_restarts,
         snap.deadline_expired
     );
-    if let Some((kills, failovers, backpressured, survivors)) = routing {
-        let total = if procs > 0 { procs } else { shards };
-        let what = if procs > 0 {
-            "shard processes"
-        } else {
-            "shards"
-        };
-        println!(
-            "fleet: {total} {what}, {kills} killed by the plan, {survivors} healthy at end, \
-             {failovers} failovers, {backpressured} backpressure rejects"
-        );
-    }
-    if let Some((proc_kills, respawns, recovered)) = proc_info {
+    println!(
+        "fleet: {total} {what}, {kills} killed by the plan, {survivors} healthy at end, \
+         {failovers} failovers, {backpressured} backpressure rejects"
+    );
+    if let Some(recovered) = recovered {
         println!(
             "processes: {proc_kills} SIGKILLed, {respawns} respawned, fleet {}",
             if recovered {
@@ -1810,22 +1731,18 @@ pub fn chaos(args: &Args) -> i32 {
             snap.worker_crashes, snap.worker_restarts
         ));
     }
-    match routing {
-        Some((kills, ..)) if plan_name == "shard-kill" && kills == 0 => {
-            failures.push("shard-kill plan never killed a shard".into());
-        }
-        Some((_, _, _, 0)) => {
-            failures.push("no shard survived the run (the last one must be immune)".into());
-        }
-        None if plan_name == "shard-kill" => {
-            failures.push("shard-kill plan needs --shards > 1 to have anything to kill".into());
-        }
-        _ => {}
+    if plan_name == "shard-kill" && kills == 0 {
+        // With one shard this always fires: the last healthy shard is
+        // kill-immune, so the plan has nothing to kill.
+        failures.push("shard-kill plan never killed a shard".into());
     }
-    if plan_name == "proc-kill" && proc_info.is_none() {
+    if survivors == 0 {
+        failures.push("no shard survived the run (the last one must be immune)".into());
+    }
+    if plan_name == "proc-kill" && recovered.is_none() {
         failures.push("proc-kill plan needs --procs > 1 to have processes to kill".into());
     }
-    if let Some((proc_kills, respawns, recovered)) = proc_info {
+    if let Some(recovered) = recovered {
         if plan_name == "proc-kill" && proc_kills < 2 {
             failures.push(format!(
                 "proc-kill plan SIGKILLed only {proc_kills} processes (budget is 2)"

@@ -12,11 +12,11 @@
 //!
 //! ibcf sweep --sizes 8,16,24 [--out sweep.jsonl] [--log sweep.log]
 //!            [--shard i/k] [--batch 16384] [--quick]
-//!            [--selector exhaustive|analytic|hill]
+//!            [--selector exhaustive|analytic]
 //!     Run a sweep and persist the dataset (JSON lines). With --log,
 //!     stream every measurement to a crash-safe resumable log. With
-//!     --selector, swap the exhaustive grid for a model-guided or
-//!     hill-climbing search over the same logging machinery.
+//!     --selector, swap the exhaustive grid for the model-guided search
+//!     over the same logging machinery.
 //!
 //! ibcf resume --log sweep.log [--out sweep.jsonl]
 //!     Finish an interrupted sweep from its log.
@@ -53,7 +53,8 @@
 //!     the core::tiled task-graph runtime (sequential and parallel).
 //!
 //! ibcf serve [--port 7117] [--workers 1] [--dispatch dispatch.jsonl]
-//!     Run the dynamic-batching factorization service over TCP.
+//!     Run the dynamic-batching factorization service over TCP, always
+//!     behind one router over N >= 1 shards.
 //!
 //! ibcf loadgen [--addr 127.0.0.1:7117] [--requests 100000] [--rate R]
 //!     Drive a running server and report throughput and latency.

@@ -31,18 +31,21 @@
 //!    occupancy histogram, and reply-latency percentiles;
 //! 5. a std::net TCP front-end ([`server`]) speaks a length-prefixed
 //!    binary frame protocol ([`codec`]) with typed frame errors and
-//!    graceful drain, and a [load generator](loadgen) drives it in
-//!    closed- or open-loop arrivals with reconnect/resubmit retry;
+//!    graceful drain, always through a [router](router) — a single
+//!    server is a fleet of one — and a [load generator](loadgen) drives
+//!    it in closed- or open-loop arrivals with reconnect/resubmit retry;
 //! 6. a seeded [fault-injection harness](fault) can be threaded through
 //!    every stage to prove, reproducibly, that each admitted request
 //!    receives exactly one reply under worker panics, stalls,
 //!    connection drops, and frame corruption;
-//! 7. a [router](router) fronts N shards (in-process or TCP) with
-//!    rendezvous or least-loaded routing keyed by `(n, dtype)`,
+//! 7. the [router](router) fronts N ≥ 1 shards (in-process or TCP)
+//!    with rendezvous or least-loaded routing keyed by `(n, dtype)`,
 //!    health-checked failover, per-shard circuit breakers, optional
 //!    hedged requests, deterministic shard kills, and typed
 //!    [`Backpressure`](request::RejectReason::Backpressure) retry-after
-//!    rejects instead of blocking;
+//!    rejects instead of blocking — for every TCP server, one shard or
+//!    many (the in-process [`Client`] answers a full queue with
+//!    [`QueueFull`](request::RejectReason::QueueFull));
 //! 8. a [fleet supervisor](fleet) pushes isolation to the OS level:
 //!    each shard is a real child process (`ibcf serve --shard-child`)
 //!    that the supervisor spawns, health-reaps, SIGKILL-chaos-tests,
@@ -82,5 +85,5 @@ pub use router::{
     InProcessShard, RoutePolicy, Router, RouterClient, RouterConfig, ShardBackend, TcpShard,
 };
 pub use server::{TcpConn, TcpServer};
-pub use service::{Client, Frontend, Service, ServiceConfig};
+pub use service::{Client, Service, ServiceConfig};
 pub use stats::{BreakerStat, FleetStat, ServiceStats, ShardStat, StatsSnapshot};

@@ -25,9 +25,9 @@
 
 use crate::codec::{
     decode_factor_reply, encode_factor_req, read_frame, wire_deadline_us, write_frame,
-    K_FACTOR_REPLY, K_FACTOR_REQ, K_LARGE_REQ,
+    K_FACTOR_REPLY,
 };
-use crate::request::{Dtype, Outcome, Payload, RejectReason};
+use crate::request::{Dtype, Kind, Outcome, Payload, RejectReason};
 use crate::retry::RetryPolicy;
 use crate::server::TcpConn;
 use crate::stats::StatsSnapshot;
@@ -448,9 +448,9 @@ fn run_conn(
     // identical, so nothing downstream cares which kind went out.
     let kind_of = |r: u64| {
         if is_large(r) {
-            K_LARGE_REQ
+            Kind::Large
         } else {
-            K_FACTOR_REQ
+            Kind::Batch
         }
     };
     let payload_of = |r: u64| -> &Payload {
@@ -531,7 +531,7 @@ fn run_conn(
         let mut write_err = false;
         for &r in &resend {
             let body = encode_factor_req(r, n_of(r), deadline_us, payload_of(r));
-            if write_frame(&mut writer, kind_of(r), &body).is_err() {
+            if write_frame(&mut writer, kind_of(r).wire(), &body).is_err() {
                 write_err = true;
                 break;
             }
@@ -549,7 +549,7 @@ fn run_conn(
             };
             for &r in &due {
                 let body = encode_factor_req(r, n_of(r), deadline_us, payload_of(r));
-                if write_frame(&mut writer, kind_of(r), &body).is_err() {
+                if write_frame(&mut writer, kind_of(r).wire(), &body).is_err() {
                     write_err = true;
                 }
             }
@@ -603,7 +603,7 @@ fn run_conn(
                 break; // connection died mid-pacing; reconnect resubmits
             }
             let body = encode_factor_req(r, n_of(r), deadline_us, payload_of(r));
-            if write_frame(&mut writer, kind_of(r), &body).is_err() {
+            if write_frame(&mut writer, kind_of(r).wire(), &body).is_err() {
                 write_err = true;
             }
             next_idx += 1;
@@ -644,7 +644,7 @@ fn run_conn(
             let mut retry_write_err = false;
             for &r in &due {
                 let body = encode_factor_req(r, n_of(r), deadline_us, payload_of(r));
-                if write_frame(&mut writer, kind_of(r), &body).is_err() {
+                if write_frame(&mut writer, kind_of(r).wire(), &body).is_err() {
                     retry_write_err = true;
                 }
             }

@@ -1,9 +1,11 @@
-//! Router/shard tier: one front door over N factorization shards.
+//! Router/shard tier: one front door over N ≥ 1 factorization shards.
 //!
-//! ROADMAP item 2's production shape is *many* servers, with routing
-//! keyed by `(n, dtype)` so each shard's batch former sees homogeneous
-//! traffic and keeps lane occupancy high. This module provides that
-//! tier:
+//! Every TCP server fronts exactly one [`Router`]: a single `ibcf serve`
+//! is the N = 1 case, `--shards N` routes over N in-process services,
+//! and `--procs N` over N child processes (each of which is itself a
+//! one-slot router over its own service). Routing is keyed by
+//! `(n, dtype)` so each shard's batch former sees homogeneous traffic
+//! and keeps lane occupancy high:
 //!
 //! - a [`Router`] fronts N [`ShardBackend`]s — in-process services
 //!   ([`InProcessShard`]) or remote `ibcf serve` processes over TCP
@@ -16,7 +18,8 @@
 //!   recovering fleet is not hit by a thundering herd of simultaneous
 //!   probes) and marks dead shards unroutable; live submissions that
 //!   hit a dying shard fail over to the next healthy candidate
-//!   immediately;
+//!   immediately (a one-slot router over an in-process shard has
+//!   nothing to probe and runs no health thread);
 //! - every slot carries a **circuit breaker**: K consecutive
 //!   connect/submit/probe failures trip it open (the slot leaves the
 //!   routing set), a cooldown later it half-opens for a trial probe,
@@ -49,10 +52,10 @@
 //! along as a value — through failover, `ShardLost` resubmission and
 //! hedge copies — and only the admitting shard acts on it.
 //!
-//! The [`RouterClient`] implements [`Frontend`], so the TCP server can
-//! front a whole fleet exactly as it fronts one service, and its
-//! [`Frontend::stats`] reports the fleet merge (via
-//! [`StatsSnapshot::merge`]) with a per-shard breakdown attached.
+//! The TCP server runs on a [`RouterClient`], whose
+//! [`RouterClient::stats`] reports the fleet merge (via
+//! [`StatsSnapshot::merge`]) with a per-shard breakdown attached — a
+//! one-entry breakdown for a single server.
 
 use crate::codec::{
     decode_factor_reply, encode_factor_req, read_frame, wire_deadline_us, write_frame,
@@ -62,7 +65,7 @@ use crate::fault::{FaultAction, FaultHook, FaultSite};
 use crate::request::{FactorReply, Kind, Outcome, Payload, RejectReason, ReplySink, SubmitRefusal};
 use crate::retry::RetryPolicy;
 use crate::server::TcpConn;
-use crate::service::{Client, Frontend, Service};
+use crate::service::{Client, Service};
 use crate::stats::{BreakerStat, FleetStat, ShardStat, StatsSnapshot};
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -1054,7 +1057,7 @@ impl RouterCore {
 }
 
 /// The shard tier's front door. Owns the health thread; hand
-/// [`Router::client`] to the TCP server (it implements [`Frontend`]).
+/// [`Router::client`] to the TCP server.
 pub struct Router {
     core: Arc<RouterCore>,
     health: Option<JoinHandle<()>>,
@@ -1063,7 +1066,8 @@ pub struct Router {
 impl Router {
     /// Starts a router over `shards` with the given config. The health
     /// thread probes every shard each `health_interval` and drives the
-    /// fault plan's shard kills.
+    /// fault plan's shard kills; a one-slot router over a shard that
+    /// cannot fail on its own starts none.
     pub fn start(shards: Vec<Arc<dyn ShardBackend>>, cfg: RouterConfig) -> Router {
         assert!(!shards.is_empty(), "router needs at least one shard");
         let slots: Vec<ShardSlot> = shards
@@ -1100,7 +1104,15 @@ impl Router {
             breaker_closes: AtomicU64::new(0),
             hedge_queue: Mutex::new(Vec::new()),
         });
-        let health = {
+        // The health loop watches what the router does not do itself: a
+        // shard process or remote server (`can_lose_inflight`) can die
+        // and come back, and two or more shards bring failover, hedging
+        // and the fault plan's kills. One in-process slot has none of
+        // these — the plan never kills the last healthy shard, and the
+        // shard stops admitting only after a drain the router began — so
+        // a single server and each `--procs` child run no health thread.
+        let watched = core.slots.len() > 1 || core.slots[0].backend.can_lose_inflight();
+        let health = watched.then(|| {
             let core = core.clone();
             let fault = cfg.fault.clone();
             let interval = cfg.health_interval;
@@ -1113,15 +1125,12 @@ impl Router {
                     }
                 })
                 .expect("spawn router health thread")
-        };
-        Router {
-            core,
-            health: Some(health),
-        }
+        });
+        Router { core, health }
     }
 
-    /// A cheap, cloneable submission handle (the [`Frontend`] the TCP
-    /// server runs on).
+    /// A cheap, cloneable submission handle (what the TCP server runs
+    /// on).
     pub fn client(&self) -> RouterClient {
         RouterClient {
             core: self.core.clone(),
@@ -1166,17 +1175,22 @@ impl Router {
     }
 }
 
-/// Cloneable handle routing submissions across the fleet: the router's
-/// [`Frontend`].
+/// Cloneable handle routing submissions across the fleet — what the
+/// TCP server runs on. Its contract is the service one: `submit_kind`
+/// invokes its sink exactly once (inline for rejections), and once
+/// `begin_drain` stopped admission, `drained` eventually turns (and
+/// stays) true.
 #[derive(Clone)]
 pub struct RouterClient {
     core: Arc<RouterCore>,
 }
 
-impl Frontend for RouterClient {
-    /// Routes one request; the reply arrives through `sink` exactly once
-    /// (inline for rejections and backpressure).
-    fn submit_kind(
+impl RouterClient {
+    /// Routes one request of either kind; the reply arrives through
+    /// `sink` exactly once (inline for rejections and backpressure).
+    /// Admission never blocks: a full shard queue is a typed
+    /// [`RejectReason::Backpressure`], never a stalled caller.
+    pub fn submit_kind(
         &self,
         kind: Kind,
         id: u64,
@@ -1189,12 +1203,15 @@ impl Frontend for RouterClient {
     }
 
     /// Fleet-merged counters with the per-shard breakdown attached.
-    fn stats(&self) -> StatsSnapshot {
+    pub fn stats(&self) -> StatsSnapshot {
         self.core.fleet_snapshot()
     }
 
-    /// Stops admission fleet-wide; queued work keeps draining.
-    fn begin_drain(&self) {
+    /// Stops admission fleet-wide; queued work keeps draining. The
+    /// health loop stops too: nothing is routable any more, and probing
+    /// shards that were closed on purpose would only trip their breakers.
+    pub fn begin_drain(&self) {
+        self.core.stop.store(true, Ordering::SeqCst);
         for slot in &self.core.slots {
             slot.healthy.store(false, Ordering::SeqCst);
             slot.backend.kill();
@@ -1202,7 +1219,7 @@ impl Frontend for RouterClient {
     }
 
     /// `true` once every shard answered everything it admitted.
-    fn drained(&self) -> bool {
+    pub fn drained(&self) -> bool {
         self.core.slots.iter().all(|s| s.backend.drained())
     }
 }
@@ -1577,7 +1594,7 @@ mod tests {
             r.outcome,
             Outcome::Rejected(RejectReason::Backpressure { .. })
         ));
-        let snap = Frontend::stats(&client);
+        let snap = client.stats();
         assert_eq!(snap.requests, 6, "fleet requests = sum of shards");
         assert_eq!(snap.rejected, 1, "router-level rejects count in fleet");
         let shards = snap.shards.expect("fleet snapshot carries shard list");
@@ -1694,7 +1711,7 @@ mod tests {
         assert!(reply.outcome.is_ok(), "loss not recovered: {reply:?}");
         assert!(f[1 - owner].accepted_ids().contains(&2));
         assert_eq!(router.core.shard_lost_resubmits.load(Ordering::Relaxed), 1);
-        let fleet = Frontend::stats(&client).fleet.expect("fleet stat");
+        let fleet = client.stats().fleet.expect("fleet stat");
         assert_eq!(fleet.shard_lost_resubmits, 1);
         router.shutdown();
     }
@@ -1729,7 +1746,8 @@ mod tests {
         let router = Router::start(as_backends(&f), cfg);
         let client = router.client();
         let breaker_of = |name: &str| {
-            Frontend::stats(&client)
+            client
+                .stats()
                 .shards
                 .expect("shard list")
                 .into_iter()
@@ -1755,7 +1773,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(breaker_of("s0").state, "closed");
-        let fleet = Frontend::stats(&client).fleet.expect("fleet stat");
+        let fleet = client.stats().fleet.expect("fleet stat");
         assert_eq!(fleet.breaker_trips, 1);
         assert!(fleet.breaker_half_opens >= 1, "no half-open recorded");
         assert!(fleet.breaker_closes >= 1, "no close recorded");
@@ -1797,7 +1815,7 @@ mod tests {
         // the shared sink and only counted, never delivered.
         f[owner].release_held();
         assert_eq!(router.core.hedge_wasted.load(Ordering::Relaxed), 1);
-        let fleet = Frontend::stats(&client).fleet.expect("fleet stat");
+        let fleet = client.stats().fleet.expect("fleet stat");
         assert_eq!(fleet.hedges, 1);
         assert_eq!(fleet.hedge_wasted, 1);
         router.shutdown();
@@ -1824,6 +1842,47 @@ mod tests {
         let total: usize = f.iter().map(|b| b.accepted_ids().len()).sum();
         assert_eq!(total, 20, "no duplicate submissions");
         router.shutdown();
+    }
+
+    /// A drain closes every shard on purpose; the health loop must stop
+    /// with it instead of probing the closed shards until their breakers
+    /// trip (which a drained chaos fleet would report as a fault).
+    #[test]
+    fn a_drain_stops_the_health_loop_before_any_breaker_trips() {
+        let f = fakes(2);
+        let cfg = RouterConfig {
+            health_interval: Duration::from_millis(1),
+            breaker_threshold: 2,
+            ..RouterConfig::default()
+        };
+        let router = Router::start(as_backends(&f), cfg);
+        let client = router.client();
+        assert!(call(&client, 1, 4).outcome.is_ok());
+        client.begin_drain();
+        // Dozens of health intervals: a running loop would have failed
+        // each closed shard's probe twice and tripped its breaker.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(client.drained());
+        assert_eq!(client.stats().fleet.expect("fleet stat").breaker_trips, 0);
+        router.shutdown();
+    }
+
+    /// The health thread runs only where something can change without
+    /// the router's doing: a second shard, or a shard that can die on
+    /// its own. A single server and a `--procs` child run none.
+    #[test]
+    fn only_a_router_with_something_to_watch_runs_a_health_thread() {
+        let runs_health = |f: Vec<Arc<TestBackend>>| {
+            let router = Router::start(as_backends(&f), RouterConfig::default());
+            let running = router.health.is_some();
+            router.shutdown();
+            running
+        };
+        assert!(!runs_health(fakes(1)), "one in-process slot");
+        assert!(runs_health(fakes(2)), "two slots");
+        let remote = fakes(1);
+        remote[0].can_lose.store(true, Ordering::SeqCst);
+        assert!(runs_health(remote), "one slot that can die on its own");
     }
 
     /// The kind is a value every recovery path must carry: a large

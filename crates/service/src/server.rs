@@ -1,10 +1,9 @@
 //! std::net TCP front-end: accepts connections, decodes request frames
 //! of either [`Kind`] (the frame kind byte names it), submits each
-//! through one [`Frontend`] call — to a single service's
-//! [`Client`](crate::service::Client) or a
-//! [`RouterClient`](crate::router::RouterClient) fronting a sharded
-//! fleet — and streams replies back as they complete (replies may
-//! reorder relative to requests; the caller correlates by id).
+//! through one [`RouterClient`] call — every server fronts a router,
+//! and a single server is a fleet of one — and streams replies back as
+//! they complete (replies may reorder relative to requests; the caller
+//! correlates by id).
 //!
 //! Per connection: the accept loop spawns a reader thread (decodes and
 //! submits) and a writer thread (serializes reply frames through an mpsc
@@ -24,8 +23,8 @@ use crate::codec::{
     K_LARGE_REQ, K_SHUTDOWN, K_SHUTDOWN_ACK, K_STATS_REPLY, K_STATS_REQ,
 };
 use crate::fault::{FaultAction, FaultHook, FaultSite};
-use crate::request::{FactorReply, Kind, ReplySink};
-use crate::service::Frontend;
+use crate::request::{FactorReply, Kind, Payload, ReplySink};
+use crate::router::RouterClient;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,7 +96,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>, hook: FaultHook) -> io:
 /// Returns `true` if this connection requested server shutdown. Any
 /// [`FrameError`] (torn frame, malformed body) surfaces as the `Err`
 /// branch and closes only this connection.
-fn conn_loop<F: Frontend>(stream: TcpStream, client: F, hook: FaultHook) -> io::Result<bool> {
+fn conn_loop(stream: TcpStream, client: RouterClient, hook: FaultHook) -> io::Result<bool> {
     let out_stream = stream.try_clone()?;
     let ctrl = stream.try_clone()?;
     let (tx, rx) = channel::<Vec<u8>>();
@@ -141,8 +140,8 @@ fn conn_loop<F: Frontend>(stream: TcpStream, client: F, hook: FaultHook) -> io::
                 // connection gone; the reply is dropped with it.
                 let sink = ReplySink::frame(tx.clone(), dtype);
                 // Admission never blocks: a full queue answers with a
-                // rejection frame instead of stalling the reader (which
-                // would deadlock a pipelining client).
+                // typed backpressure frame instead of stalling the reader
+                // (which would deadlock a pipelining client).
                 client.submit_kind(kind, id, n, payload, deadline, sink);
             }
             K_STATS_REQ => {
@@ -214,15 +213,15 @@ impl TcpServer {
     }
 
     /// [`TcpServer::run_with_faults`] with the injector disabled.
-    pub fn run<F: Frontend>(&self, client: F) -> io::Result<()> {
+    pub fn run(&self, client: RouterClient) -> io::Result<()> {
         self.run_with_faults(client, FaultHook::disabled())
     }
 
     /// Accepts and serves connections until a shutdown frame arrives or
     /// the stop flag is set. Returns once every connection thread joined,
-    /// leaving the frontend itself to the caller to shut down. The hook
+    /// leaving the router itself to the caller to shut down. The hook
     /// injects connection-level faults on every accepted stream.
-    pub fn run_with_faults<F: Frontend>(&self, client: F, hook: FaultHook) -> io::Result<()> {
+    pub fn run_with_faults(&self, client: RouterClient, hook: FaultHook) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         // Clones of every accepted stream, so the drain path below can
@@ -301,31 +300,19 @@ impl TcpConn {
         })
     }
 
-    /// Sends a factorization request frame. `deadline_us` is the relative
-    /// deadline in microseconds (0 = none).
-    pub fn send_factor_req(
+    /// Sends a request frame of either kind (the frame kind byte names
+    /// it; both share one body). `deadline_us` is the relative deadline
+    /// in microseconds (0 = none).
+    pub fn send_req(
         &mut self,
+        kind: Kind,
         id: u64,
         n: usize,
         deadline_us: u32,
-        payload: &crate::request::Payload,
+        payload: &Payload,
     ) -> io::Result<()> {
         let body = crate::codec::encode_factor_req(id, n, deadline_us, payload);
-        write_frame(&mut self.writer, K_FACTOR_REQ, &body)
-    }
-
-    /// Sends a large-matrix request frame (same body as a factor
-    /// request; the kind routes it past the former onto the task-graph
-    /// worker pool).
-    pub fn send_large_req(
-        &mut self,
-        id: u64,
-        n: usize,
-        deadline_us: u32,
-        payload: &crate::request::Payload,
-    ) -> io::Result<()> {
-        let body = crate::codec::encode_factor_req(id, n, deadline_us, payload);
-        write_frame(&mut self.writer, K_LARGE_REQ, &body)
+        write_frame(&mut self.writer, kind.wire(), &body)
     }
 
     /// Sends a stats request frame.
@@ -404,10 +391,25 @@ impl TcpConn {
 mod tests {
     use super::*;
     use crate::engine::EngineSelector;
-    use crate::request::{Outcome, Payload, RejectReason};
+    use crate::request::{Outcome, RejectReason};
+    use crate::router::{InProcessShard, Router, RouterConfig, ShardBackend};
     use crate::service::{Service, ServiceConfig};
 
-    fn start_server() -> (Service, std::net::SocketAddr, JoinHandle<io::Result<()>>) {
+    type Served = (Router, std::net::SocketAddr, JoinHandle<io::Result<()>>);
+
+    /// Serves `service` on an ephemeral port through a one-slot router,
+    /// exactly as `ibcf serve` runs a single server.
+    fn serve(service: Service, cfg: RouterConfig) -> Served {
+        let shard: Arc<dyn ShardBackend> = Arc::new(InProcessShard::new("shard-0", service));
+        let router = Router::start(vec![shard], cfg);
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let client = router.client();
+        let handle = std::thread::spawn(move || server.run(client));
+        (router, addr, handle)
+    }
+
+    fn start_server() -> Served {
         let service = Service::start(
             ServiceConfig {
                 max_delay: Duration::from_millis(1),
@@ -415,22 +417,18 @@ mod tests {
             },
             EngineSelector::heuristic(),
         );
-        let server = TcpServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
-        let client = service.client();
-        let handle = std::thread::spawn(move || server.run(client));
-        (service, addr, handle)
+        serve(service, RouterConfig::default())
     }
 
     #[test]
     fn tcp_round_trip_factor_stats_shutdown() {
-        let (service, addr, server) = start_server();
+        let (router, addr, server) = start_server();
         let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
 
         // A 2×2 SPD matrix with a known exact factor: [[4,2],[2,5]] →
         // L = [[2,0],[1,2]].
         let a = Payload::F32(vec![4.0, 2.0, 2.0, 5.0]);
-        conn.send_factor_req(123, 2, 0, &a).unwrap();
+        conn.send_req(Kind::Batch, 123, 2, 0, &a).unwrap();
         let reply = conn.read_factor_reply().unwrap();
         assert_eq!(reply.id, 123);
         let Outcome::Factor(Payload::F32(l)) = reply.outcome else {
@@ -439,7 +437,7 @@ mod tests {
         assert_eq!(l, vec![2.0, 1.0, 2.0, 2.0]); // upper 2.0 = input, untouched
 
         // Malformed request is rejected, not dropped.
-        conn.send_factor_req(124, 3, 0, &Payload::F32(vec![1.0; 4]))
+        conn.send_req(Kind::Batch, 124, 3, 0, &Payload::F32(vec![1.0; 4]))
             .unwrap();
         let reply = conn.read_factor_reply().unwrap();
         assert_eq!(reply.id, 124);
@@ -461,12 +459,12 @@ mod tests {
 
         conn.shutdown_server().unwrap();
         server.join().unwrap().unwrap();
-        service.shutdown();
+        router.shutdown();
     }
 
     #[test]
     fn concurrent_connections_each_get_their_own_replies() {
-        let (service, addr, server) = start_server();
+        let (router, addr, server) = start_server();
         let workers: Vec<_> = (0..4u64)
             .map(|c| {
                 let addr = addr.to_string();
@@ -475,7 +473,7 @@ mod tests {
                     for i in 0..8u64 {
                         let id = c * 100 + i;
                         let a = Payload::F64(vec![4.0, 2.0, 2.0, 5.0]);
-                        conn.send_factor_req(id, 2, 0, &a).unwrap();
+                        conn.send_req(Kind::Batch, id, 2, 0, &a).unwrap();
                     }
                     let mut seen: Vec<u64> = (0..8)
                         .map(|_| {
@@ -496,82 +494,112 @@ mod tests {
         let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
         conn.shutdown_server().unwrap();
         server.join().unwrap().unwrap();
-        let snap = service.shutdown();
+        let snap = router.shutdown();
         assert_eq!(snap.replies_ok, 32);
     }
 
     #[test]
     fn routed_fleet_serves_tcp_and_backpressure_is_honored_end_to_end() {
         use crate::loadgen::{self, ArrivalMode, LoadgenConfig};
-        use crate::router::{InProcessShard, Router, RouterConfig, ShardBackend};
+        use crate::router::TcpShard;
 
         // Two shards with tiny ingest queues: a 48-deep closed-loop
-        // window must overflow them, so the router hands out real
+        // window must overflow them, so the fleet hands out real
         // Backpressure { retry_after_us } rejects and the load
         // generator's retry loop has to honor the hints for the run to
-        // finish with nothing lost.
-        let shards: Vec<Arc<dyn ShardBackend>> = (0..2)
-            .map(|i| {
-                let service = Service::start(
-                    ServiceConfig {
-                        queue_cap: 2,
-                        max_delay: Duration::from_millis(2),
-                        ..ServiceConfig::default()
-                    },
-                    EngineSelector::heuristic(),
-                );
-                Arc::new(InProcessShard::new(format!("shard-{i}"), service))
-                    as Arc<dyn ShardBackend>
+        // finish with nothing lost. The shards are reached in process,
+        // then over TCP — each service behind its own server, as the
+        // `--procs` children are — and either way a full queue must
+        // reach the caller as the typed hint, never a hint-less reject.
+        let tiny = || {
+            Service::start(
+                ServiceConfig {
+                    queue_cap: 2,
+                    max_delay: Duration::from_millis(2),
+                    ..ServiceConfig::default()
+                },
+                EngineSelector::heuristic(),
+            )
+        };
+        let hinted = || RouterConfig {
+            retry_after_us: 300,
+            ..RouterConfig::default()
+        };
+        for over_tcp in [false, true] {
+            let mut shard_servers: Vec<Served> = Vec::new();
+            let shards: Vec<Arc<dyn ShardBackend>> = (0..2)
+                .map(|i| -> Arc<dyn ShardBackend> {
+                    let name = format!("shard-{i}");
+                    if over_tcp {
+                        let served = serve(tiny(), hinted());
+                        let addr = served.1.to_string();
+                        shard_servers.push(served);
+                        Arc::new(TcpShard::new(name, addr))
+                    } else {
+                        Arc::new(InProcessShard::new(name, tiny()))
+                    }
+                })
+                .collect();
+            let router = Router::start(shards, hinted());
+            let server = TcpServer::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap();
+            let client = router.client();
+            let handle = std::thread::spawn(move || server.run(client));
+
+            let report = loadgen::run(&LoadgenConfig {
+                addr: addr.to_string(),
+                sizes: vec![4, 6],
+                requests: 400,
+                conns: 2,
+                mode: ArrivalMode::Closed { window: 48 },
+                seed: 11,
+                ..LoadgenConfig::default()
             })
-            .collect();
-        let router = Router::start(
-            shards,
-            RouterConfig {
-                retry_after_us: 300,
-                ..RouterConfig::default()
-            },
-        );
-        let server = TcpServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
-        let client = router.client();
-        let handle = std::thread::spawn(move || server.run(client));
+            .unwrap();
 
-        let report = loadgen::run(&LoadgenConfig {
-            addr: addr.to_string(),
-            sizes: vec![4, 6],
-            requests: 400,
-            conns: 2,
-            mode: ArrivalMode::Closed { window: 48 },
-            seed: 11,
-            ..LoadgenConfig::default()
-        })
-        .unwrap();
+            let what = if over_tcp { "TCP" } else { "in-process" };
+            assert!(
+                report.clean(),
+                "{what} fleet run not clean:\n{}",
+                report.render()
+            );
+            assert_eq!(report.lost, 0);
+            assert_eq!(report.duplicates, 0);
+            assert!(
+                report.backpressured > 0,
+                "tiny {what} shard queues under a deep window must backpressure:\n{}",
+                report.render()
+            );
+            assert_eq!(
+                report.rejected,
+                0,
+                "a full {what} shard queue must answer with the hint, not a reject:\n{}",
+                report.render()
+            );
+            let shard_stats = report.server.shards.as_ref().expect("fleet breakdown");
+            assert_eq!(shard_stats.len(), 2);
+            let rendered = report.render();
+            assert!(
+                rendered.contains("shard-0") && rendered.contains("fleet:"),
+                "report must show per-shard lines and fleet totals:\n{rendered}"
+            );
 
-        assert!(report.clean(), "fleet run not clean:\n{}", report.render());
-        assert_eq!(report.lost, 0);
-        assert_eq!(report.duplicates, 0);
-        assert!(
-            report.backpressured > 0,
-            "tiny shard queues under a deep window must backpressure:\n{}",
-            report.render()
-        );
-        let shard_stats = report.server.shards.as_ref().expect("fleet breakdown");
-        assert_eq!(shard_stats.len(), 2);
-        let rendered = report.render();
-        assert!(
-            rendered.contains("shard-0") && rendered.contains("fleet:"),
-            "report must show per-shard lines and fleet totals:\n{rendered}"
-        );
-
-        let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
-        conn.shutdown_server().unwrap();
-        handle.join().unwrap().unwrap();
-        let snap = router.shutdown();
-        assert_eq!(
-            snap.shards.expect("final fleet snapshot").len(),
-            2,
-            "shutdown snapshot keeps the shard breakdown"
-        );
+            let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
+            conn.shutdown_server().unwrap();
+            handle.join().unwrap().unwrap();
+            let snap = router.shutdown();
+            assert_eq!(
+                snap.shards.expect("final fleet snapshot").len(),
+                2,
+                "shutdown snapshot keeps the shard breakdown"
+            );
+            for (shard_router, shard_addr, shard_handle) in shard_servers {
+                let mut conn = TcpConn::connect(&shard_addr.to_string()).unwrap();
+                conn.shutdown_server().unwrap();
+                shard_handle.join().unwrap().unwrap();
+                shard_router.shutdown();
+            }
+        }
     }
 
     #[test]
@@ -579,7 +607,7 @@ mod tests {
         // Regression for the unwrap()-on-bad-frame class of crash: a peer
         // that dies mid-frame (or sends garbage) must cost exactly its
         // own connection; the accept loop keeps serving everyone else.
-        let (service, addr, server) = start_server();
+        let (router, addr, server) = start_server();
 
         // Half a frame: a length word promising 64 bytes, then silence.
         {
@@ -598,14 +626,14 @@ mod tests {
         // The server still serves a healthy connection afterwards.
         let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
         let a = Payload::F32(vec![4.0, 2.0, 2.0, 5.0]);
-        conn.send_factor_req(7, 2, 0, &a).unwrap();
+        conn.send_req(Kind::Batch, 7, 2, 0, &a).unwrap();
         let reply = conn.read_factor_reply().unwrap();
         assert_eq!(reply.id, 7);
         assert!(reply.outcome.is_ok());
 
         conn.shutdown_server().unwrap();
         server.join().unwrap().unwrap();
-        service.shutdown();
+        router.shutdown();
     }
 
     #[test]
@@ -615,12 +643,12 @@ mod tests {
         // to encode as 0 and silently become immortal. It must instead
         // clamp up to 1 µs and come back as a typed DeadlineExceeded —
         // shed, never served unbounded.
-        let (service, addr, server) = start_server();
+        let (router, addr, server) = start_server();
         let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
         let a = Payload::F32(vec![4.0, 2.0, 2.0, 5.0]);
         let wire = crate::codec::wire_deadline_us(Some(Duration::from_nanos(1)));
         assert_eq!(wire, 1, "sub-µs deadline must clamp up, not truncate");
-        conn.send_factor_req(42, 2, wire, &a).unwrap();
+        conn.send_req(Kind::Batch, 42, 2, wire, &a).unwrap();
         let reply = conn.read_factor_reply().unwrap();
         assert_eq!(reply.id, 42);
         assert_eq!(
@@ -630,12 +658,12 @@ mod tests {
         );
         conn.shutdown_server().unwrap();
         server.join().unwrap().unwrap();
-        service.shutdown();
+        router.shutdown();
     }
 
     #[test]
     fn shutdown_drains_inflight_requests_before_acking() {
-        let (service, addr, server) = start_server();
+        let (router, addr, server) = start_server();
         let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
         let a = Payload::F32(vec![4.0, 2.0, 2.0, 5.0]);
         // Pipeline a burst, then shutdown on the same connection: the
@@ -643,7 +671,7 @@ mod tests {
         // the drain starts, and the drain must answer every one before
         // the ack goes out.
         for id in 0..64u64 {
-            conn.send_factor_req(id, 2, 0, &a).unwrap();
+            conn.send_req(Kind::Batch, id, 2, 0, &a).unwrap();
         }
         conn.send_shutdown().unwrap();
         for _ in 0..64 {
@@ -656,7 +684,7 @@ mod tests {
             other => panic!("expected shutdown ack after the drain, got {other:?}"),
         }
         server.join().unwrap().unwrap();
-        let snap = service.shutdown();
+        let snap = router.shutdown();
         assert_eq!(snap.replies_ok, 64);
     }
 
@@ -678,10 +706,7 @@ mod tests {
             },
             EngineSelector::heuristic(),
         );
-        let server = TcpServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
-        let client = service.client();
-        let handle = std::thread::spawn(move || server.run(client));
+        let (router, addr, handle) = serve(service, RouterConfig::default());
 
         let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
         let small = Payload::F64(vec![4.0, 2.0, 2.0, 5.0]);
@@ -704,10 +729,10 @@ mod tests {
         let mut large_ids = Vec::new();
         for id in 0..total {
             if id % 8 == 3 {
-                conn.send_large_req(id, ln, 0, &large).unwrap();
+                conn.send_req(Kind::Large, id, ln, 0, &large).unwrap();
                 large_ids.push(id);
             } else {
-                conn.send_factor_req(id, 2, 0, &small).unwrap();
+                conn.send_req(Kind::Batch, id, 2, 0, &small).unwrap();
             }
         }
         let mut seen: HashMap<u64, Outcome> = HashMap::new();
@@ -752,6 +777,6 @@ mod tests {
 
         conn.shutdown_server().unwrap();
         handle.join().unwrap().unwrap();
-        service.shutdown();
+        router.shutdown();
     }
 }

@@ -554,7 +554,8 @@ pub struct Client {
 }
 
 impl Client {
-    /// Current counters (serves the `stats` request).
+    /// Current counters (an [`InProcessShard`](crate::router::InProcessShard)'s
+    /// share of its router's stats frame).
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats.snapshot()
     }
@@ -765,59 +766,6 @@ impl Client {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         self.submit_sink(id, n, payload, None, ReplySink::channel(tx), true);
         rx.recv().expect("reply sink dropped without reply")
-    }
-}
-
-/// What the TCP front-end needs from whatever answers requests: one
-/// service's [`Client`], or a [`RouterClient`](crate::router::RouterClient)
-/// fronting a whole fleet. The contract is the service one —
-/// `submit_kind` invokes its sink exactly once (inline for rejections),
-/// and once `begin_drain` stopped admission, `drained` eventually turns
-/// (and stays) true.
-pub trait Frontend: Clone + Send + 'static {
-    /// Submits one request of either kind; the reply arrives through
-    /// `sink` exactly once. Admission never blocks: a full queue is a
-    /// typed reject, never a stalled caller.
-    fn submit_kind(
-        &self,
-        kind: Kind,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    );
-    /// Current counters, for the stats frame.
-    fn stats(&self) -> StatsSnapshot;
-    /// Stops admission; already-admitted work keeps draining.
-    fn begin_drain(&self);
-    /// `true` once every admitted request has been answered.
-    fn drained(&self) -> bool;
-}
-
-impl Frontend for Client {
-    fn submit_kind(
-        &self,
-        kind: Kind,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) {
-        self.admit_or_reject(kind, pending(id, n, payload, deadline, sink), false);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        Client::stats(self)
-    }
-
-    fn begin_drain(&self) {
-        Client::begin_drain(self);
-    }
-
-    fn drained(&self) -> bool {
-        Client::drained(self)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Autotuning demo: exhaustively sweep the kernel configuration space for
 //! a few sizes (a reduced version of the paper's 14,000-run sweep), print
-//! the winners, and compare against hill-climbing guided search.
+//! the winners, and compare against the model-guided selector.
 //!
 //! Run with: `cargo run --release --example autotune_demo`
 
-use ibcf::autotune::heuristics::hill_climb;
+use ibcf::autotune::{run_sizes, SelectorKind, SilentProgress};
 use ibcf::prelude::*;
 
 fn main() {
@@ -48,14 +48,28 @@ fn main() {
     }
 
     // Guided search: how close, how much cheaper?
-    println!("\nhill climbing vs exhaustive (the paper's 'selection bias' trade-off):");
-    for &n in &[24usize, 48] {
+    println!("\nmodel-guided search vs exhaustive (the paper's 'selection bias' trade-off):");
+    let guided_sizes = [24usize, 48];
+    let opts = SweepOptions {
+        batch,
+        progress_every: 0,
+        ..Default::default()
+    };
+    let report = run_sizes(
+        SelectorKind::Analytic,
+        &space,
+        &guided_sizes,
+        &spec,
+        &opts,
+        &SilentProgress,
+    );
+    for result in &report.outcomes {
+        let n = result.n;
         let exhaustive = table.best(n).unwrap().gflops;
-        let result = hill_climb(&space, n, batch, &spec, 6, 1234);
         println!(
             "  n={n}: guided {:.0} GFLOP/s in {} evals vs exhaustive {:.0} in {} ({:.1}% of optimum)",
             result.best.gflops,
-            result.evaluations,
+            result.evaluated,
             exhaustive,
             space.len_per_n(),
             100.0 * result.best.gflops / exhaustive

@@ -6,7 +6,7 @@ use ibcf_bench_shim::*;
 
 /// Re-exports used below; keeps the test readable.
 mod ibcf_bench_shim {
-    pub use ibcf::autotune::heuristics::hill_climb;
+    pub use ibcf::autotune::{run_sizes, SelectorKind, SilentProgress};
     pub use ibcf::forest::r2;
 }
 
@@ -91,23 +91,27 @@ fn guided_search_is_consistent_with_exhaustive() {
     let space = ParamSpace::quick();
     let n = 16;
     let batch = 4096;
-    let ds = sweep_sizes(
+    let opts = SweepOptions {
+        batch,
+        progress_every: 0,
+        ..Default::default()
+    };
+    let ds = sweep_sizes(&space, &[n], &spec, &opts);
+    // The model-guided selector searches the same space the grid covers.
+    let best = BestTable::new(&ds).best(n).unwrap().gflops;
+    let report = run_sizes(
+        SelectorKind::Analytic,
         &space,
         &[n],
         &spec,
-        &SweepOptions {
-            batch,
-            progress_every: 0,
-            ..Default::default()
-        },
+        &opts,
+        &SilentProgress,
     );
-    // The climber explores one arithmetic mode (the space's first: IEEE);
-    // compare against the exhaustive best under the same restriction.
-    let best = BestTable::new(&ds)
-        .best_where(n, |m| !m.config.fast_math)
-        .unwrap()
-        .gflops;
-    let guided = hill_climb(&space, n, batch, &spec, 5, 42);
+    let guided = &report.outcomes[0];
+    assert!(
+        guided.evaluated < space.len_per_n(),
+        "guided search measured the whole grid"
+    );
     assert!(
         guided.best.gflops <= best * 1.0000001,
         "guided exceeded exhaustive grid"
