@@ -2,8 +2,8 @@
 //!
 //! Two tiers:
 //! * `routing_overhead` — the per-submit cost the router adds on top of
-//!   a shard's own admission: rendezvous vs least-loaded ranking over
-//!   instant-reply backends, against calling one backend directly. This
+//!   a shard's own admission: rendezvous ranking over instant-reply
+//!   backends, against calling one backend directly. This
 //!   is the number the `(n, dtype)`-keyed tier must keep negligible
 //!   next to a ~ms factorization round trip;
 //! * `fleet_end_to_end` — a single service called directly vs the same
@@ -15,8 +15,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ibcf_core::spd::{random_spd, SpdKind};
 use ibcf_service::{
-    EngineSelector, InProcessShard, Kind, Payload, ReplySink, RoutePolicy, Router, RouterConfig,
-    Service, ServiceConfig, ShardBackend, StatsSnapshot, SubmitRefusal,
+    EngineSelector, InProcessShard, Kind, Payload, ReplySink, Router, RouterConfig, Service,
+    ServiceConfig, ShardBackend, StatsSnapshot, SubmitRefusal,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,10 +66,6 @@ impl ShardBackend for InstantShard {
         true
     }
 
-    fn load(&self) -> usize {
-        0
-    }
-
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::default()
     }
@@ -113,43 +109,34 @@ fn bench_routing_overhead(c: &mut Criterion) {
         });
     });
 
-    for policy in [RoutePolicy::ConsistentHash, RoutePolicy::LeastLoaded] {
-        for shard_count in [3usize, 8] {
-            let label = format!("{policy:?}_{shard_count}shards").to_lowercase();
-            g.bench_function(label, |b| {
-                let backends: Vec<Arc<dyn ShardBackend>> = (0..shard_count)
-                    .map(|i| {
-                        Arc::new(InstantShard {
-                            name: format!("s{i}"),
-                            lossy: false,
-                        }) as Arc<dyn ShardBackend>
-                    })
-                    .collect();
-                let router = Router::start(
-                    backends,
-                    RouterConfig {
-                        policy,
-                        ..RouterConfig::default()
-                    },
+    for shard_count in [3usize, 8] {
+        g.bench_function(format!("consistenthash_{shard_count}shards"), |b| {
+            let backends: Vec<Arc<dyn ShardBackend>> = (0..shard_count)
+                .map(|i| {
+                    Arc::new(InstantShard {
+                        name: format!("s{i}"),
+                        lossy: false,
+                    }) as Arc<dyn ShardBackend>
+                })
+                .collect();
+            let router = Router::start(backends, RouterConfig::default());
+            let client = router.client();
+            let mut id = 0u64;
+            b.iter(|| {
+                id += 1;
+                // Vary n so rendezvous can't cache a single key.
+                let n = 2 + (id % 14) as usize;
+                client.submit_kind(
+                    Kind::Batch,
+                    id,
+                    n,
+                    black_box(Payload::F32(vec![1.0; n * n])),
+                    None,
+                    ReplySink::boxed(drop),
                 );
-                let client = router.client();
-                let mut id = 0u64;
-                b.iter(|| {
-                    id += 1;
-                    // Vary n so rendezvous can't cache a single key.
-                    let n = 2 + (id % 14) as usize;
-                    client.submit_kind(
-                        Kind::Batch,
-                        id,
-                        n,
-                        black_box(Payload::F32(vec![1.0; n * n])),
-                        None,
-                        ReplySink::boxed(drop),
-                    );
-                });
-                router.shutdown();
             });
-        }
+            router.shutdown();
+        });
     }
 
     // The robustness tax: what arming the process-fleet machinery costs
@@ -176,7 +163,6 @@ fn bench_routing_overhead(c: &mut Criterion) {
             let router = Router::start(
                 backends,
                 RouterConfig {
-                    policy: RoutePolicy::ConsistentHash,
                     hedge_after: hedge,
                     ..RouterConfig::default()
                 },

@@ -75,8 +75,7 @@ commands:
   serve     [--host H] [--port P] [--workers W] [--queue-cap Q]
             [--max-batch B] [--max-delay-us D] [--max-n N] [--dispatch F]
             [--analytic G] [--shards N] [--procs N] [--shard-child]
-            [--policy hash|least-loaded] [--retry-after-us U]
-            [--hedge-after-us U]
+            [--retry-after-us U] [--hedge-after-us U]
             run the dynamic-batching factorization service over TCP;
             small requests (n <= N) are batched, large ones (n <= 1024)
             run on a task-graph pool, and both kinds share one submit
@@ -86,15 +85,15 @@ commands:
             shards — one in-process service by default, --shards N of
             them — and a full shard answers with a typed backpressure
             reject carrying the --retry-after-us hint; --procs N runs
-            each shard as a supervised *child process* instead
-            (OS-level isolation: dead children are respawned with
-            backoff, in-flight requests fail over, per-shard circuit
-            breakers gate readmission); --hedge-after-us U duplicates a
-            straggling request to a second shard after U us (first
-            reply wins, the duplicate is suppressed); --shard-child is
-            the child's own mode: bind an ephemeral port, print
-            'shard-child listening on H:P', serve one shard through
-            its own one-slot router;
+            each shard as a *child process* instead (OS-level
+            isolation: the router's health probes respawn dead
+            children with backoff, in-flight requests fail over,
+            per-shard circuit breakers gate readmission);
+            --hedge-after-us U duplicates a straggling request to a
+            second shard after U us (first reply wins, the duplicate
+            is suppressed); --shard-child is the child's own mode:
+            bind an ephemeral port, print 'shard-child listening on
+            H:P', serve one shard through its own one-slot router;
             IBCF_SIMD=off pins workers (and shard children, which
             inherit it) to the autovectorized lane kernels
   loadgen   [--addr H:P] [--sizes 16,24] [--dtype f32|f64]
@@ -120,10 +119,10 @@ commands:
             shards mid-run (the last one is immune, so it needs N > 1;
             failover must keep the invariant); --procs N > 1 runs the
             shards as real child processes and lets the proc-kill plan
-            SIGKILL them mid-run — the run must show every kill
-            respawned, the fleet healthy again, and zero
-            lost/duplicate replies; --hedge-after-us U hedges
-            stragglers on any fleet of two or more shards
+            SIGKILL them mid-run from the router's health loop — the
+            run must show every kill respawned, the fleet healthy
+            again, and zero lost/duplicate replies; --hedge-after-us U
+            hedges stragglers on any fleet of two or more shards
   help                                        this text
 ";
 
@@ -1098,12 +1097,11 @@ pub fn tiled_bench(args: &Args) -> i32 {
 }
 
 /// One router over N ≥ 1 shards — the one set-up `serve` and `chaos`
-/// share. With `procs > 0` the shards are supervised child processes
-/// running `ibcf serve --shard-child` plus `child_args`; otherwise they
-/// are `shards` in-process services made by `start`. `cfg.fault` drives
-/// both the router's shard kills and the supervisor's process kills.
-/// The process fleet, if any, comes back beside the router so the
-/// caller can stop respawns before the router drains the children.
+/// share. With `procs > 0` the shards are child processes running
+/// `ibcf serve --shard-child` plus `child_args`; otherwise they are
+/// `shards` in-process services made by `start`. `cfg.fault` drives the
+/// router's shard kills and process kills alike. The process fleet, if
+/// any, comes back beside the router for pid and respawn reporting.
 fn start_fleet(
     procs: usize,
     shards: usize,
@@ -1118,7 +1116,6 @@ fn start_fleet(
             .map_err(|e| format!("resolving own executable for shard children: {e}"))?;
         let mut fleet_cfg = FleetConfig::new(exe, procs);
         fleet_cfg.child_args.extend_from_slice(child_args);
-        fleet_cfg.fault = cfg.fault.clone();
         let fleet = Fleet::spawn(fleet_cfg).map_err(|e| format!("spawning shard fleet: {e}"))?;
         (fleet.backends(), Some(fleet))
     } else {
@@ -1134,12 +1131,11 @@ fn start_fleet(
 
 /// `ibcf serve`: run the dynamic-batching factorization service over
 /// TCP behind one router — over one in-process service by default,
-/// `--shards N` of them, or `--procs N` supervised shard processes —
-/// with health-checked failover and typed backpressure.
+/// `--shards N` of them, or `--procs N` shard processes — with
+/// health-checked failover and typed backpressure.
 pub fn serve(args: &Args) -> i32 {
     use ibcf_service::{
-        EngineSelector, RoutePolicy, RouterConfig, Service, ServiceConfig, TcpServer,
-        SHARD_READY_PREFIX,
+        EngineSelector, RouterConfig, Service, ServiceConfig, TcpServer, SHARD_READY_PREFIX,
     };
     let host = match args.get("host", "127.0.0.1".to_string()) {
         Ok(h) => h,
@@ -1182,13 +1178,6 @@ pub fn serve(args: &Args) -> i32 {
     if shard_child && (procs > 0 || shards > 1) {
         return fail("--shard-child runs exactly one shard");
     }
-    let policy: RoutePolicy = match args.get("policy", "hash".to_string()) {
-        Ok(name) => match name.parse() {
-            Ok(p) => p,
-            Err(e) => return fail(e),
-        },
-        Err(e) => return fail(e),
-    };
     let selector = match args.options.get("dispatch") {
         None => EngineSelector::heuristic(),
         Some(path) => match EngineSelector::load(Path::new(path)) {
@@ -1214,7 +1203,7 @@ pub fn serve(args: &Args) -> i32 {
         max_n,
         ..ServiceConfig::default()
     };
-    // A shard child binds an ephemeral port: its supervisor learns the
+    // A shard child binds an ephemeral port: its parent learns the
     // address from the stdout handshake, never from configuration.
     let bind_port = if shard_child { 0 } else { port };
     let server = match TcpServer::bind(&format!("{host}:{bind_port}")) {
@@ -1257,13 +1246,12 @@ pub fn serve(args: &Args) -> i32 {
         }
     }
     let cfg = RouterConfig {
-        policy,
         retry_after_us,
         hedge_after,
         ..RouterConfig::default()
     };
     let start = || Service::start(config.clone(), selector.clone());
-    let (router, mut fleet) = match start_fleet(procs, shards, &child_args, start, cfg) {
+    let (router, fleet) = match start_fleet(procs, shards, &child_args, start, cfg) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -1277,7 +1265,7 @@ pub fn serve(args: &Args) -> i32 {
         println!(
             "serving on {addr} ({engine} engine, simd {simd}, \
              {topology} x {workers} worker(s), \
-             {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
+             retry-after {retry_after_us} us, batch <= {max_batch}, \
              deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})"
         );
         if let Some(f) = &fleet {
@@ -1286,11 +1274,8 @@ pub fn serve(args: &Args) -> i32 {
     }
     std::io::stdout().flush().ok();
     let run = server.run(router.client());
-    // Respawns stop first, then each child drains gracefully and is
-    // reaped — serve --procs never leaves orphan processes behind.
-    if let Some(f) = fleet.as_mut() {
-        f.stop_supervisor();
-    }
+    // The health loop stops first, then each child drains gracefully and
+    // is reaped — serve --procs never leaves orphan processes behind.
     let snap = router.shutdown();
     if let Some(f) = &fleet {
         println!(
@@ -1545,7 +1530,7 @@ pub fn chaos(args: &Args) -> i32 {
         ..ServiceConfig::default()
     };
     // The children run *without* fault injection: the proc-kill plan
-    // fires supervisor-side (real SIGKILL), so every observed failure is
+    // fires router-side (real SIGKILL), so every observed failure is
     // genuine process death, not an in-process fault.
     let child_args: Vec<String> = vec![
         "--workers".into(),
@@ -1565,7 +1550,7 @@ pub fn chaos(args: &Args) -> i32 {
     // kill whole shards of, or a process fleet the plan can SIGKILL
     // children of.
     let start = || Service::start(service_config.clone(), EngineSelector::heuristic());
-    let (router, mut proc_fleet) = match start_fleet(procs, shards, &child_args, start, cfg) {
+    let (router, proc_fleet) = match start_fleet(procs, shards, &child_args, start, cfg) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -1627,8 +1612,8 @@ pub fn chaos(args: &Args) -> i32 {
         let expected_kills: u64 = if plan_name == "proc-kill" { 2 } else { 0 };
         let deadline = Instant::now() + Duration::from_secs(15);
         loop {
-            let kills_done = fleet.proc_kills() >= expected_kills;
-            let respawned = fleet.respawns() >= fleet.proc_kills();
+            let kills_done = router.kills() >= expected_kills;
+            let respawned = fleet.respawns() >= router.kills();
             let alive = fleet.all_children_alive();
             let healthy = client
                 .stats()
@@ -1661,17 +1646,10 @@ pub fn chaos(args: &Args) -> i32 {
         return fail("chaos server did not drain within 30 s");
     }
     let run = server_thread.join().expect("chaos server thread");
-    // A plan kills either whole shards (router-side) or shard processes
-    // (supervisor-side); respawns stop before the router drains.
-    let (proc_kills, respawns) = match proc_fleet.as_mut() {
-        Some(fleet) => {
-            let counts = (fleet.proc_kills(), fleet.respawns());
-            fleet.stop_supervisor();
-            counts
-        }
-        None => (0, 0),
-    };
-    let kills = router.kills() + proc_kills;
+    // A plan kills either whole shards or shard processes, both from the
+    // router's health loop.
+    let kills = router.kills();
+    let respawns = proc_fleet.as_ref().map_or(0, |f| f.respawns());
     let failovers = router.failovers();
     let backpressured = router.backpressured();
     let snap = router.shutdown();
@@ -1692,7 +1670,7 @@ pub fn chaos(args: &Args) -> i32 {
     );
     if let Some(recovered) = recovered {
         println!(
-            "processes: {proc_kills} SIGKILLed, {respawns} respawned, fleet {}",
+            "processes: {kills} SIGKILLed, {respawns} respawned, fleet {}",
             if recovered {
                 "fully recovered (all children alive and serving)"
             } else {
@@ -1743,14 +1721,14 @@ pub fn chaos(args: &Args) -> i32 {
         failures.push("proc-kill plan needs --procs > 1 to have processes to kill".into());
     }
     if let Some(recovered) = recovered {
-        if plan_name == "proc-kill" && proc_kills < 2 {
+        if plan_name == "proc-kill" && kills < 2 {
             failures.push(format!(
-                "proc-kill plan SIGKILLed only {proc_kills} processes (budget is 2)"
+                "proc-kill plan SIGKILLed only {kills} processes (budget is 2)"
             ));
         }
-        if respawns < proc_kills {
+        if respawns < kills {
             failures.push(format!(
-                "{proc_kills} processes killed but only {respawns} respawned"
+                "{kills} processes killed but only {respawns} respawned"
             ));
         }
         if !recovered {

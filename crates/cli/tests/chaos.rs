@@ -120,7 +120,7 @@ fn chaos_proc_kill_respawns_every_victim_and_keeps_the_invariant() {
     );
     // The command enforces >= 2 SIGKILLs, a respawn per kill, and full
     // recovery before it exits; check the report surfaced all three so
-    // an inert plan (or a supervisor that stopped respawning) can't
+    // an inert plan (or a health loop that stopped respawning) can't
     // pass.
     let procs = stdout
         .lines()
@@ -152,7 +152,7 @@ fn serve_procs_shutdown_reaps_every_shard_child() {
         .expect("spawn ibcf serve --procs");
     let mut reader = BufReader::new(serve.stdout.take().expect("serve stdout"));
 
-    // The supervisor prints its bound address and the shard-child pids
+    // The parent prints its bound address and the shard-child pids
     // before entering the accept loop.
     let mut addr = None;
     let mut pids: Vec<u32> = Vec::new();
@@ -214,7 +214,7 @@ fn serve_procs_shutdown_reaps_every_shard_child() {
         rest.contains("all shard processes reaped"),
         "no reap confirmation in serve output:\n{rest}"
     );
-    // Regression guard for the orphan leak: after the supervisor exits,
+    // Regression guard for the orphan leak: after the parent exits,
     // no shard child process may remain.
     for pid in &pids {
         assert!(

@@ -18,8 +18,7 @@
 //! is substituted with `1` (branch-free select) and the lane keeps
 //! computing garbage that never escapes. On completion, masked lanes are
 //! restored bitwise from a pre-factorization snapshot of their lower
-//! triangle, and reported exactly like
-//! [`factorize_batch`](crate::host_batch::factorize_batch) reports
+//! triangle, and reported exactly like [`factorize_batch`] reports
 //! failures.
 //!
 //! Lane groups are independent, so groups are distributed over rayon

@@ -6,7 +6,7 @@
 //! * [`scalar::Real`] — an `f32`/`f64` abstraction so every routine exists in
 //!   both precisions (the paper works in single precision; double is the
 //!   verification oracle).
-//! * [`reference`] — the canonical unblocked right-looking Cholesky
+//! * [`mod@reference`] — the canonical unblocked right-looking Cholesky
 //!   (Algorithm 1 of the paper), the correctness oracle for everything else.
 //! * [`tile`] — the four tile microkernels of Figure 9 (`potrf_tile`,
 //!   `trsm_tile`, `syrk_tile`, `gemm_tile`) in runtime-size and

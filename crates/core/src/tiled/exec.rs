@@ -2,11 +2,9 @@
 //!
 //! Both run the same leaves on the same [`TileStore`]:
 //!
-//! * `Potrf` — [`potrf_tile`](crate::tile::potrf_tile) (stride-1 column
-//!   ops already);
-//! * `Trsm` — [`trsm_tile_colvec`](crate::tile::trsm_tile_colvec);
-//! * `Update` — [`syrk_tile_colvec`](crate::tile::syrk_tile_colvec) /
-//!   [`gemm_tile_colvec`](crate::tile::gemm_tile_colvec).
+//! * `Potrf` — [`potrf_tile`] (stride-1 column ops already);
+//! * `Trsm` — [`trsm_tile_colvec`];
+//! * `Update` — [`syrk_tile_colvec`] / [`gemm_tile_colvec`].
 //!
 //! Because every `(i, j)` tile receives its updates in ascending `k`
 //! (the serialization chain in [`graph`](super::graph)) and each leaf

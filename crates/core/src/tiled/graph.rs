@@ -2,7 +2,7 @@
 //! factorization.
 //!
 //! For `nt` tile rows the task set is the same for every
-//! [`Looking`](crate::blocked::Looking) order:
+//! [`Looking`] order:
 //!
 //! * `Potrf(k)` — factor diagonal tile `(k, k)`, for `k < nt`;
 //! * `Trsm(i, k)` — solve panel tile `(i, k)` against `(k, k)`, `i > k`;

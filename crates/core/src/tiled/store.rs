@@ -6,7 +6,7 @@
 //! contiguous `nb × nb` column-major slot — exactly one matrix of a
 //! [`Canonical`] batch layout of dimension `nb` — so the whole store is
 //! allocated 128-byte-aligned through [`alloc_batch`] and addressed through
-//! the same [`BatchLayout`] machinery as every other batch in the
+//! the same [`BatchLayout`](ibcf_layout::BatchLayout) machinery as every other batch in the
 //! workspace. Ragged edge tiles (`n % nb != 0`) occupy the leading
 //! `di × dj` sub-block of their slot with tile stride `nb`.
 //!

@@ -13,7 +13,7 @@
 //!   data-dependent control flow — and prices the stream through explicit
 //!   architectural models: memory coalescing ([`coalesce`]), a set-
 //!   associative L2 ([`cache`]), a DRAM row-buffer model ([`dram`]), an
-//!   occupancy calculator ([`occupancy`]), register-reuse/spill and
+//!   occupancy calculator ([`mod@occupancy`]), register-reuse/spill and
 //!   instruction-cache models, and per-op issue costs including the
 //!   IEEE-vs-`--use_fast_math` distinction ([`spec::OpCosts`]).
 //!

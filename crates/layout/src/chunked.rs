@@ -8,8 +8,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Matrices are grouped into chunks of `chunk` (a multiple of the warp
 /// size). Each chunk occupies a contiguous region of `lda * n * chunk`
-/// elements, interleaved internally exactly like [`Interleaved`]
-/// (crate::Interleaved) with the chunk playing the role of the batch:
+/// elements, interleaved internally exactly like
+/// [`Interleaved`](crate::Interleaved) with the chunk playing the role
+/// of the batch:
 ///
 /// ```text
 /// addr(m, i, j) = (m / chunk) * lda * n * chunk     // chunk base

@@ -1,7 +1,7 @@
 //! Per-batch engine selection: the serving-time consumer of the
 //! autotuning corpus.
 //!
-//! The sweep's winning [`KernelConfig`](ibcf_kernels::KernelConfig) per
+//! The sweep's winning [`KernelConfig`] per
 //! size describes a *device* kernel, but its structural axes — chunked vs
 //! plain interleave, chunk size, looking order — are exactly the knobs of
 //! the host lane engine too (the host mirror the paper's layouts were

@@ -33,15 +33,13 @@ pub enum FaultSite {
     /// A connection writer about to write one reply frame (drops,
     /// corruption, truncation).
     ConnWrite = 3,
-    /// The router's health loop visiting one shard slot (whole-shard
-    /// kills). Ticks once per shard per health round.
+    /// The router's health loop visiting one healthy shard slot
+    /// (whole-shard kills, and SIGKILLs of a shard's OS process). Ticks
+    /// once per healthy shard per health round.
     RouterShard = 4,
-    /// The fleet supervisor visiting one shard *process* (SIGKILL of a
-    /// live OS child). Ticks once per shard per supervision round.
-    ShardProcess = 5,
 }
 
-const SITES: usize = 6;
+const SITES: usize = 5;
 
 /// What the injector asks the passing thread to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,11 +62,13 @@ pub enum FaultAction {
     /// kill the last healthy shard, so a budgeted plan can never take
     /// the whole fleet down.
     KillShard,
-    /// SIGKILL the shard *process* the fleet supervisor is visiting: the
-    /// OS reclaims it instantly, every request in flight on its
-    /// connection comes back as a typed `ShardLost` (the router resubmits
-    /// once), and the supervisor respawns a fresh process with capped
-    /// backoff. The supervisor refuses to kill the last live process.
+    /// SIGKILL the *process* of the shard the router's health loop is
+    /// visiting: the OS reclaims it instantly, every request in flight
+    /// on its connection comes back as a typed `ShardLost` (the router
+    /// resubmits once), and a later probe of the slot respawns a fresh
+    /// process with capped backoff. The router refuses to kill the last
+    /// healthy shard, and a shard without a process of its own is never
+    /// crashed.
     KillProcess,
 }
 
@@ -263,19 +263,19 @@ impl FaultPlan {
         }
     }
 
-    /// SIGKILLs whole shard *processes* from the fleet supervisor's
-    /// round, twice: enough to prove OS-level crash recovery (in-flight
-    /// requests come back as `ShardLost` and are resubmitted, the
-    /// supervisor respawns the child), and one below the process count
-    /// the chaos harness runs with (the supervisor additionally refuses
-    /// to kill the last live process).
+    /// SIGKILLs whole shard *processes* from the router's health loop,
+    /// twice: enough to prove OS-level crash recovery (in-flight
+    /// requests come back as `ShardLost` and are resubmitted, a probe
+    /// respawns the child), and one below the process count the chaos
+    /// harness runs with (the router additionally refuses to kill the
+    /// last healthy shard).
     pub fn proc_kill(seed: u64) -> FaultPlan {
         let every = 16 + splitmix(seed) % 12;
         FaultPlan {
             seed,
             name: "proc-kill",
             rules: vec![Rule {
-                site: FaultSite::ShardProcess,
+                site: FaultSite::RouterShard,
                 every,
                 offset: splitmix(seed ^ 13) % every,
                 max: 2,
@@ -519,10 +519,10 @@ mod tests {
     }
 
     #[test]
-    fn proc_kill_fires_only_at_the_process_site_within_budget() {
+    fn proc_kill_fires_only_at_the_router_site_within_budget() {
         let hook = FaultHook::from_plan(FaultPlan::proc_kill(42));
-        assert!(firings(&hook, FaultSite::RouterShard, 10_000).is_empty());
-        let fired = firings(&hook, FaultSite::ShardProcess, 10_000);
+        assert!(firings(&hook, FaultSite::WorkerBatch, 10_000).is_empty());
+        let fired = firings(&hook, FaultSite::RouterShard, 10_000);
         assert_eq!(fired.len(), 2, "proc-kill budget is 2");
         assert!(fired
             .iter()

@@ -3,43 +3,51 @@
 //! The in-process router ([`crate::router`]) proves failover logic, but
 //! every shard still shares one address space — a worker panic is
 //! catchable, a segfault or OOM kill is not. This module moves each
-//! shard into a real **child process** (`ibcf serve --shard-child`): the
-//! supervisor spawns it, reads its ephemeral listen address from a
-//! one-line stdout handshake, and fronts it with a [`TcpShard`] so the
-//! router routes to it like any remote shard.
+//! shard into a real **child process** (`ibcf serve --shard-child`):
+//! [`Fleet::spawn`] starts it and reads its ephemeral listen address
+//! from a one-line stdout handshake, and a [`ProcessShard`] owns both
+//! the child and the TCP connection the router routes over.
 //!
 //! Failure model (MODEL.md §18):
 //!
-//! - **Crash detection** is double-sourced: the supervisor reaps child
-//!   exits with `try_wait` (authoritative — a SIGKILL is visible here
-//!   within one supervision round), and the router's health probes see
-//!   the connection refuse (fast path for routing decisions).
+//! - **One loop watches the children.** [`ProcessShard::probe`] — the
+//!   router's health round — first reaps a dead child (`try_wait`) and
+//!   starts its replacement, then checks the connection. A submit that
+//!   finds the connection dead fails over at once; the slot's health
+//!   flag and circuit breaker keep routing and probing off it until a
+//!   probe succeeds again.
 //! - **In-flight loss**: when the process dies, its connection's reader
 //!   hits EOF and answers every orphaned request with a typed
-//!   [`Outcome::ShardLost`](crate::request::Outcome::ShardLost); the
-//!   router transparently resubmits the first loss to a healthy shard.
-//! - **Respawn** follows the shared [`RetryPolicy`] equal-jitter
-//!   backoff, capped, forever — whether to give up on a shard is an
-//!   operator decision, not the supervisor's. A respawned child gets a
-//!   fresh ephemeral port; the slot's [`TcpShard`] is swapped under the
-//!   shard lock so routing flips over atomically.
+//!   [`Outcome::ShardLost`]; the router transparently resubmits the
+//!   first loss to a healthy shard.
+//! - **Respawn** follows the shared [`RetryPolicy::reconnect`]
+//!   equal-jitter backoff, capped, forever — whether to give up on a
+//!   shard is an operator decision, not the fleet's. A respawned child
+//!   gets a fresh ephemeral port; the connection is reopened to it in
+//!   the same probe.
 //! - **Graceful drain** ([`ProcessShard::shutdown`]): final stats are
 //!   fetched and cached, the child gets a shutdown frame and drains,
-//!   and the supervisor reaps it with a bounded wait — SIGKILL only if
-//!   the child ignores the protocol. `ibcf serve --shards N` therefore
-//!   never leaks orphan processes.
+//!   and is reaped with a bounded wait — SIGKILL only if the child
+//!   ignores the protocol. `ibcf serve --procs N` therefore never leaks
+//!   orphan processes.
 //! - The chaos harness SIGKILLs live children deterministically through
-//!   [`FaultSite::ShardProcess`] / [`FaultAction::KillProcess`],
-//!   refusing to kill the last live process so the fleet always
-//!   retains capacity.
+//!   [`FaultSite::RouterShard`](crate::fault::FaultSite) /
+//!   [`FaultAction::KillProcess`](crate::fault::FaultAction), which the
+//!   router's health round turns into [`ShardBackend::crash`]; the last
+//!   healthy shard is immune, so the fleet always retains capacity.
 
-use crate::fault::{FaultAction, FaultHook, FaultSite};
-use crate::request::{Kind, Payload, RejectReason, ReplySink, SubmitRefusal};
+use crate::codec::{
+    decode_factor_reply, encode_factor_req, read_frame, wire_deadline_us, write_frame,
+    K_FACTOR_REPLY,
+};
+use crate::request::{FactorReply, Kind, Outcome, Payload, RejectReason, ReplySink, SubmitRefusal};
 use crate::retry::RetryPolicy;
-use crate::router::{ShardBackend, TcpShard};
+use crate::router::ShardBackend;
 use crate::server::TcpConn;
 use crate::stats::StatsSnapshot;
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,28 +69,16 @@ pub struct FleetConfig {
     pub child_args: Vec<String>,
     /// Number of shard processes.
     pub shards: usize,
-    /// Backoff between respawn attempts for a shard that keeps dying.
-    pub respawn: RetryPolicy,
-    /// Fault hook for deterministic process kills
-    /// ([`FaultSite::ShardProcess`]); ticks once per shard per
-    /// supervision round.
-    pub fault: FaultHook,
-    /// Supervision round cadence (liveness reap + respawn + fault tick).
-    pub interval: Duration,
 }
 
 impl FleetConfig {
     /// A fleet of `shards` children of `program` with default child
-    /// arguments (`serve --shard-child`), respawn backoff, no faults,
-    /// and a 5 ms supervision cadence.
+    /// arguments (`serve --shard-child`).
     pub fn new(program: PathBuf, shards: usize) -> FleetConfig {
         FleetConfig {
             program,
             child_args: vec!["serve".into(), "--shard-child".into()],
             shards,
-            respawn: RetryPolicy::reconnect(0x0F1EE7),
-            fault: FaultHook::disabled(),
-            interval: Duration::from_millis(5),
         }
     }
 }
@@ -123,49 +119,186 @@ fn spawn_child(program: &PathBuf, args: &[String]) -> io::Result<(Child, String)
     Ok((child, addr))
 }
 
+/// Requests in flight on one shard connection, keyed by the wire id the
+/// shard sees (caller ids are only unique per front-end connection, not
+/// fleet-wide, so the router renumbers).
+struct Pending {
+    map: HashMap<u64, (u64, ReplySink)>,
+    /// Set by the dying reader, under this lock, *before* it drains the
+    /// map — so a submitter holding the lock either sees `dead` or gets
+    /// its entry drained, never neither.
+    dead: bool,
+}
+
+/// One TCP connection to a shard's server, with the reader thread that
+/// pumps its replies back to their sinks.
+struct Conn {
+    stream: TcpStream,
+    reader: JoinHandle<()>,
+    pending: Arc<Mutex<Pending>>,
+}
+
+impl Conn {
+    fn open(addr: &str) -> Option<Conn> {
+        let stream = TcpStream::connect(addr).ok()?;
+        let read_half = stream.try_clone().ok()?;
+        stream.set_nodelay(true).ok();
+        let pending = Arc::new(Mutex::new(Pending {
+            map: HashMap::new(),
+            dead: false,
+        }));
+        let reader = {
+            let pending = pending.clone();
+            std::thread::Builder::new()
+                .name("ibcf-shard-reader".into())
+                .spawn(move || {
+                    let mut r = BufReader::new(read_half);
+                    loop {
+                        match read_frame(&mut r) {
+                            Ok(Some((K_FACTOR_REPLY, body))) => {
+                                let Ok(reply) = decode_factor_reply(&body) else {
+                                    break;
+                                };
+                                let entry = pending.lock().unwrap().map.remove(&reply.id);
+                                if let Some((caller_id, sink)) = entry {
+                                    sink.send(FactorReply {
+                                        id: caller_id,
+                                        outcome: reply.outcome,
+                                    });
+                                }
+                            }
+                            Ok(Some(_)) => {} // unexpected kind: ignore
+                            Ok(None) | Err(_) => break,
+                        }
+                    }
+                    // The connection is gone: everything still in flight
+                    // gets a typed shard-lost reply (resubmitting is
+                    // safe — the router does it once itself). `dead`
+                    // flips under the same lock, so no submitter can add
+                    // an entry nobody will ever answer.
+                    let drained: Vec<(u64, ReplySink)> = {
+                        let mut p = pending.lock().unwrap();
+                        p.dead = true;
+                        p.map.drain().map(|(_, v)| v).collect()
+                    };
+                    for (caller_id, sink) in drained {
+                        sink.send(FactorReply {
+                            id: caller_id,
+                            outcome: Outcome::ShardLost,
+                        });
+                    }
+                })
+                .ok()?
+        };
+        Some(Conn {
+            stream,
+            reader,
+            pending,
+        })
+    }
+
+    fn is_dead(&self) -> bool {
+        self.pending.lock().unwrap().dead
+    }
+
+    /// Shuts the socket (the reader answers whatever is still in flight
+    /// with `ShardLost`) and joins the reader. A loss-guard resubmission
+    /// can re-enter from the dying reader itself (its drain callbacks
+    /// run on that thread); joining ourselves would deadlock, so that
+    /// case detaches instead.
+    fn close(self) {
+        self.stream.shutdown(Shutdown::Both).ok();
+        if self.reader.thread().id() != std::thread::current().id() {
+            let _ = self.reader.join();
+        }
+    }
+}
+
 struct ProcState {
+    /// The running child; `None` between reaping a dead one and
+    /// starting its replacement, and always for a shard attached with
+    /// [`ProcessShard::connect`].
     child: Option<Child>,
-    /// The live connection front for the current child generation.
-    tcp: Option<Arc<TcpShard>>,
-    /// Address of the current (or last) child generation.
+    /// Address of the current (or last) server.
     addr: String,
+    conn: Option<Conn>,
     /// Consecutive failed respawn attempts; resets on success.
     attempt: u32,
     /// Earliest instant the next respawn attempt is allowed.
     next_spawn_at: Option<Instant>,
 }
 
-/// One shard living in a child OS process, fronted by a [`TcpShard`]
-/// that is swapped atomically when the supervisor respawns the child.
+/// One shard served by a separate `ibcf serve` process: it owns the
+/// child process (when it started one) and the TCP connection to it.
+///
+/// The router renumbers requests onto a private wire-id space, a reader
+/// thread pumps replies back, and everything still in flight when the
+/// connection dies is answered with a typed [`Outcome::ShardLost`]
+/// (idempotent — safe to resubmit, and the router resubmits the first
+/// loss itself).
 pub struct ProcessShard {
     name: String,
-    state: Mutex<ProcState>,
-    /// Admission stopped for good (drain/shutdown), no more respawns.
+    /// The command that restarts the child; `None` for a server the
+    /// router does not own.
+    command: Option<(PathBuf, Vec<String>)>,
+    /// Backoff between respawn attempts for a child that keeps dying.
+    respawn: RetryPolicy,
+    next_wire_id: AtomicU64,
+    /// Admission stopped for good (drain/shutdown): no more submits,
+    /// probes or respawns.
     killed: AtomicBool,
-    /// Times the supervisor replaced a dead child with a fresh one.
+    /// Times a dead child was replaced with a fresh one.
     respawns: AtomicU64,
-    /// Last successfully fetched stats snapshot; served when the child
+    /// Last successfully fetched stats snapshot; served when the server
     /// is unreachable (mid-respawn, or after shutdown).
     last_stats: Mutex<StatsSnapshot>,
+    state: Mutex<ProcState>,
 }
 
 impl ProcessShard {
-    fn launch(name: String, cfg: &FleetConfig) -> io::Result<Arc<ProcessShard>> {
-        let (child, addr) = spawn_child(&cfg.program, &cfg.child_args)?;
-        let tcp = Arc::new(TcpShard::new(format!("{name}-conn"), addr.clone()));
-        Ok(Arc::new(ProcessShard {
+    fn new(
+        name: String,
+        command: Option<(PathBuf, Vec<String>)>,
+        child: Option<Child>,
+        addr: String,
+        slot: usize,
+    ) -> ProcessShard {
+        ProcessShard {
             name,
-            state: Mutex::new(ProcState {
-                child: Some(child),
-                tcp: Some(tcp),
-                addr,
-                attempt: 0,
-                next_spawn_at: None,
-            }),
+            command,
+            respawn: RetryPolicy::reconnect(slot as u64),
+            next_wire_id: AtomicU64::new(1),
             killed: AtomicBool::new(false),
             respawns: AtomicU64::new(0),
             last_stats: Mutex::new(StatsSnapshot::default()),
-        }))
+            state: Mutex::new(ProcState {
+                child,
+                addr,
+                conn: None,
+                attempt: 0,
+                next_spawn_at: None,
+            }),
+        }
+    }
+
+    fn launch(slot: usize, cfg: &FleetConfig) -> io::Result<ProcessShard> {
+        let (child, addr) = spawn_child(&cfg.program, &cfg.child_args)?;
+        let command = (cfg.program.clone(), cfg.child_args.clone());
+        Ok(Self::new(
+            format!("proc-{slot}"),
+            Some(command),
+            Some(child),
+            addr,
+            slot,
+        ))
+    }
+
+    /// A shard attached to a server at `addr` that the router does not
+    /// own: no child, so reaping, respawn and [`ShardBackend::crash`] do
+    /// nothing, and shutdown closes the connection but leaves the server
+    /// running. The first probe connects.
+    pub fn connect(name: impl Into<String>, addr: impl Into<String>) -> ProcessShard {
+        Self::new(name.into(), None, None, addr.into(), 0)
     }
 
     /// OS pid of the current child, if one is running.
@@ -173,13 +306,9 @@ impl ProcessShard {
         self.state.lock().unwrap().child.as_ref().map(|c| c.id())
     }
 
-    /// Times the supervisor respawned this shard's process.
+    /// Times this shard's process was respawned.
     pub fn respawns(&self) -> u64 {
         self.respawns.load(Ordering::Relaxed)
-    }
-
-    fn conn(&self) -> Option<Arc<TcpShard>> {
-        self.state.lock().unwrap().tcp.clone()
     }
 
     /// `true` while the child process exists and has not exited.
@@ -190,21 +319,13 @@ impl ProcessShard {
         }
     }
 
-    /// SIGKILLs the current child (the deterministic process fault).
-    /// Returns `true` if a live child was killed.
-    fn kill_child(&self) -> bool {
-        match self.state.lock().unwrap().child.as_mut() {
-            Some(c) => matches!(c.try_wait(), Ok(None)) && c.kill().is_ok(),
-            None => false,
-        }
-    }
-
-    /// One supervision step: if the child died, reap it and (backoff
-    /// permitting) spawn a replacement, swapping the connection front.
-    fn respawn_if_dead(&self, cfg: &FleetConfig) {
-        if self.killed.load(Ordering::SeqCst) {
+    /// The process half of a probe: if the child died, reap it and
+    /// (backoff permitting) spawn a replacement, dropping the dead
+    /// generation's connection.
+    fn respawn_if_dead(&self) {
+        let Some((program, args)) = &self.command else {
             return;
-        }
+        };
         {
             let mut st = self.state.lock().unwrap();
             if let Some(c) = st.child.as_mut() {
@@ -217,37 +338,33 @@ impl ProcessShard {
                     let _ = c.wait();
                 }
             }
-            if let Some(t) = st.next_spawn_at {
-                if Instant::now() < t {
-                    return;
-                }
+            if st.next_spawn_at.is_some_and(|t| Instant::now() < t) {
+                return;
             }
         }
         // Spawn outside the lock: the handshake read blocks, and submits
-        // only need the lock for a moment to clone the connection front.
-        match spawn_child(&cfg.program, &cfg.child_args) {
+        // only need the lock for a moment.
+        match spawn_child(program, args) {
             Ok((child, addr)) => {
-                let tcp = Arc::new(TcpShard::new(format!("{}-conn", self.name), addr.clone()));
                 let old = {
                     let mut st = self.state.lock().unwrap();
-                    let old = st.tcp.replace(tcp);
                     st.child = Some(child);
                     st.addr = addr;
                     st.attempt = 0;
                     st.next_spawn_at = None;
-                    old
+                    st.conn.take()
                 };
-                // Reap the dead generation's reader; its EOF drain
-                // already answered in-flight requests with ShardLost.
+                // Its EOF drain already answered in-flight requests
+                // with ShardLost (or does so now).
                 if let Some(old) = old {
-                    old.shutdown();
+                    old.close();
                 }
                 self.respawns.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
                 let mut st = self.state.lock().unwrap();
                 st.attempt += 1;
-                st.next_spawn_at = Some(Instant::now() + cfg.respawn.backoff(st.attempt));
+                st.next_spawn_at = Some(Instant::now() + self.respawn.backoff(st.attempt));
             }
         }
     }
@@ -258,6 +375,8 @@ impl ShardBackend for ProcessShard {
         &self.name
     }
 
+    /// Both request kinds share one frame body; only the frame kind byte
+    /// ([`Kind::wire`]) tells the shard which pool to admit to.
     fn try_submit(
         &self,
         kind: Kind,
@@ -270,34 +389,69 @@ impl ShardBackend for ProcessShard {
         if self.killed.load(Ordering::SeqCst) {
             return Err((RejectReason::ShuttingDown, payload, sink));
         }
-        match self.conn() {
-            Some(tcp) => tcp.try_submit(kind, id, n, payload, deadline, sink),
-            None => Err((RejectReason::ShuttingDown, payload, sink)),
+        let st = self.state.lock().unwrap();
+        let Some(c) = st.conn.as_ref() else {
+            return Err((RejectReason::ShuttingDown, payload, sink));
+        };
+        let wire_id = self.next_wire_id.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut p = c.pending.lock().unwrap();
+            if p.dead {
+                return Err((RejectReason::ShuttingDown, payload, sink));
+            }
+            p.map.insert(wire_id, (id, sink));
         }
+        // Forward the *remaining* deadline; wire_deadline_us keeps an
+        // almost-expired one from truncating to "no deadline".
+        let wire_deadline =
+            wire_deadline_us(deadline.map(|d| d.saturating_duration_since(Instant::now())));
+        let body = encode_factor_req(wire_id, n, wire_deadline, &payload);
+        let mut w = &c.stream;
+        if write_frame(&mut w, kind.wire(), &body).is_err() {
+            c.stream.shutdown(Shutdown::Both).ok();
+            return match c.pending.lock().unwrap().map.remove(&wire_id) {
+                // We still own the sink: hand everything back.
+                Some((_, sink)) => Err((RejectReason::ShuttingDown, payload, sink)),
+                // The reader drained it first (typed crash reply went
+                // out): the request was answered, nothing to hand back.
+                None => Ok(()),
+            };
+        }
+        Ok(())
     }
 
+    /// Reaps and respawns a dead child first, then checks the
+    /// connection, reopening it when it is gone.
     fn probe(&self) -> bool {
         if self.killed.load(Ordering::SeqCst) {
             return false;
         }
-        self.conn().is_some_and(|t| t.probe())
-    }
-
-    fn load(&self) -> usize {
-        self.conn().map_or(0, |t| t.load())
+        self.respawn_if_dead();
+        let mut st = self.state.lock().unwrap();
+        if st.conn.as_ref().is_some_and(|c| !c.is_dead()) {
+            return true;
+        }
+        let dead = st.conn.take();
+        st.conn = Conn::open(&st.addr);
+        let up = st.conn.is_some();
+        drop(st);
+        if let Some(c) = dead {
+            c.close();
+        }
+        up
     }
 
     fn stats(&self) -> StatsSnapshot {
         let addr = self.state.lock().unwrap().addr.clone();
-        if !addr.is_empty() {
-            let fetched = TcpConn::connect_with_timeout(&addr, Duration::from_secs(2))
-                .and_then(|mut c| c.fetch_stats());
-            if let Ok(snap) = fetched {
+        match TcpConn::connect_with_timeout(&addr, Duration::from_secs(2))
+            .and_then(|mut c| c.fetch_stats())
+        {
+            Ok(snap) => {
                 *self.last_stats.lock().unwrap() = snap.clone();
-                return snap;
+                snap
             }
+            Err(_) => self.last_stats.lock().unwrap().clone(),
         }
-        self.last_stats.lock().unwrap().clone()
     }
 
     fn kill(&self) {
@@ -307,30 +461,39 @@ impl ShardBackend for ProcessShard {
         self.killed.store(true, Ordering::SeqCst);
     }
 
+    /// SIGKILLs a live child (the deterministic process fault).
+    fn crash(&self) -> bool {
+        match self.state.lock().unwrap().child.as_mut() {
+            Some(c) => matches!(c.try_wait(), Ok(None)) && c.kill().is_ok(),
+            None => false,
+        }
+    }
+
     fn drained(&self) -> bool {
-        self.load() == 0
+        self.state
+            .lock()
+            .unwrap()
+            .conn
+            .as_ref()
+            .is_none_or(|c| c.pending.lock().unwrap().map.is_empty())
     }
 
     fn shutdown(&self) {
         self.killed.store(true, Ordering::SeqCst);
-        let (child, tcp, addr) = {
+        let (child, conn, addr) = {
             let mut st = self.state.lock().unwrap();
-            (st.child.take(), st.tcp.take(), st.addr.clone())
+            (st.child.take(), st.conn.take(), st.addr.clone())
         };
-        // Cache the child's final counters before asking it to exit;
-        // the router merges these into the fleet snapshot afterwards.
-        if let Ok(snap) = TcpConn::connect_with_timeout(&addr, Duration::from_secs(2))
-            .and_then(|mut c| c.fetch_stats())
-        {
-            *self.last_stats.lock().unwrap() = snap;
-        }
-        // Graceful drain: shutdown frame, wait for the ack (the child
-        // answers everything admitted first).
-        let _ = TcpConn::connect_with_timeout(&addr, Duration::from_secs(5))
-            .and_then(|mut c| c.shutdown_server());
-        // Reap with a bounded wait; a child that ignores the protocol
-        // is SIGKILLed rather than leaked.
         if let Some(mut child) = child {
+            // Cache the child's final counters before asking it to exit;
+            // the router merges these into the fleet snapshot afterwards.
+            self.stats();
+            // Graceful drain: shutdown frame, wait for the ack (the child
+            // answers everything admitted first).
+            let _ = TcpConn::connect_with_timeout(&addr, Duration::from_secs(5))
+                .and_then(|mut c| c.shutdown_server());
+            // Reap with a bounded wait; a child that ignores the protocol
+            // is SIGKILLed rather than leaked.
             let deadline = Instant::now() + Duration::from_secs(5);
             let mut exited = false;
             while Instant::now() < deadline {
@@ -345,8 +508,8 @@ impl ShardBackend for ProcessShard {
             }
             let _ = child.wait();
         }
-        if let Some(tcp) = tcp {
-            tcp.shutdown();
+        if let Some(c) = conn {
+            c.close();
         }
     }
 
@@ -355,26 +518,23 @@ impl ShardBackend for ProcessShard {
     }
 }
 
-/// The supervisor over N [`ProcessShard`]s: spawns them, reaps exits,
-/// respawns with backoff, and drives the deterministic process-kill
-/// fault. Hand [`Fleet::backends`] to [`Router::start`](crate::Router).
+/// N [`ProcessShard`]s spawned together. Hand [`Fleet::backends`] to
+/// [`Router::start`](crate::Router); the router's health round reaps,
+/// respawns and chaos-kills the children from then on.
 pub struct Fleet {
     shards: Vec<Arc<ProcessShard>>,
-    stop: Arc<AtomicBool>,
-    supervisor: Option<JoinHandle<()>>,
-    proc_kills: Arc<AtomicU64>,
 }
 
 impl Fleet {
-    /// Spawns `cfg.shards` child processes (waiting for each handshake)
-    /// and starts the supervision thread. On a failed spawn, every
-    /// already-started child is killed before the error returns.
+    /// Spawns `cfg.shards` child processes, waiting for each handshake.
+    /// On a failed spawn, every already-started child is shut down
+    /// before the error returns.
     pub fn spawn(cfg: FleetConfig) -> io::Result<Fleet> {
         assert!(cfg.shards > 0, "fleet needs at least one shard process");
         let mut shards: Vec<Arc<ProcessShard>> = Vec::with_capacity(cfg.shards);
-        for i in 0..cfg.shards {
-            match ProcessShard::launch(format!("proc-{i}"), &cfg) {
-                Ok(s) => shards.push(s),
+        for slot in 0..cfg.shards {
+            match ProcessShard::launch(slot, &cfg) {
+                Ok(s) => shards.push(Arc::new(s)),
                 Err(e) => {
                     for s in &shards {
                         s.shutdown();
@@ -383,40 +543,7 @@ impl Fleet {
                 }
             }
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let proc_kills = Arc::new(AtomicU64::new(0));
-        let supervisor = {
-            let shards = shards.clone();
-            let stop = stop.clone();
-            let proc_kills = proc_kills.clone();
-            std::thread::Builder::new()
-                .name("ibcf-fleet-supervisor".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        for shard in &shards {
-                            if let Some(FaultAction::KillProcess) =
-                                cfg.fault.check(FaultSite::ShardProcess)
-                            {
-                                let alive = shards.iter().filter(|s| s.child_alive()).count();
-                                // Never take the whole fleet down: the
-                                // last live process is immune.
-                                if alive > 1 && shard.kill_child() {
-                                    proc_kills.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            shard.respawn_if_dead(&cfg);
-                        }
-                        std::thread::sleep(cfg.interval);
-                    }
-                })
-                .expect("spawn fleet supervisor")
-        };
-        Ok(Fleet {
-            shards,
-            stop,
-            supervisor: Some(supervisor),
-            proc_kills,
-        })
+        Ok(Fleet { shards })
     }
 
     /// The shards as routable backends, in slot order.
@@ -425,11 +552,6 @@ impl Fleet {
             .iter()
             .map(|s| s.clone() as Arc<dyn ShardBackend>)
             .collect()
-    }
-
-    /// The shards themselves (pid/respawn introspection).
-    pub fn shards(&self) -> &[Arc<ProcessShard>] {
-        &self.shards
     }
 
     /// Current child pids, in slot order (dead slots omitted).
@@ -442,30 +564,14 @@ impl Fleet {
         self.shards.iter().map(|s| s.respawns()).sum()
     }
 
-    /// Processes SIGKILLed by the fault plan.
-    pub fn proc_kills(&self) -> u64 {
-        self.proc_kills.load(Ordering::Relaxed)
-    }
-
     /// `true` while every slot has a live child process.
     pub fn all_children_alive(&self) -> bool {
         self.shards.iter().all(|s| s.child_alive())
-    }
-
-    /// Stops the supervision thread (no more respawns). Call *before*
-    /// [`Router::shutdown`](crate::Router::shutdown) so drained
-    /// children are not resurrected mid-teardown.
-    pub fn stop_supervisor(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
     }
 }
 
 impl Drop for Fleet {
     fn drop(&mut self) {
-        self.stop_supervisor();
         // Belt and braces: anything the router did not shut down is
         // reaped here, so a panicking test never leaks processes.
         for s in &self.shards {
@@ -481,16 +587,15 @@ mod tests {
     use super::*;
 
     /// A stand-in child: prints the handshake and sleeps. No TCP server
-    /// behind it — these tests exercise the supervisor's process
-    /// management, not the wire path (the CLI integration tests do
-    /// that with real `--shard-child` binaries).
+    /// behind it — these tests exercise the fleet's process management,
+    /// not the wire path (the CLI integration tests do that with real
+    /// `--shard-child` binaries).
     fn sleeper_cfg(shards: usize) -> FleetConfig {
         let mut cfg = FleetConfig::new(PathBuf::from("/bin/sh"), shards);
         cfg.child_args = vec![
             "-c".into(),
             format!("echo '{SHARD_READY_PREFIX}127.0.0.1:1'; exec sleep 600"),
         ];
-        cfg.interval = Duration::from_millis(1);
         cfg
     }
 
@@ -515,12 +620,17 @@ mod tests {
     fn a_killed_child_is_respawned_with_a_fresh_pid() {
         let fleet = Fleet::spawn(sleeper_cfg(2)).expect("spawn sleeper fleet");
         let before = fleet.child_pids();
-        assert!(fleet.shards[0].kill_child());
+        assert!(fleet.shards[0].crash());
+        // Each probe is one health-round visit: it reaps the dead child
+        // and respawns it (no server answers, so the probe itself fails).
         let deadline = Instant::now() + Duration::from_secs(10);
         while fleet.respawns() < 1 && Instant::now() < deadline {
+            for s in &fleet.shards {
+                s.probe();
+            }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(fleet.respawns() >= 1, "supervisor never respawned");
+        assert!(fleet.respawns() >= 1, "probe never respawned");
         let deadline = Instant::now() + Duration::from_secs(10);
         while !fleet.all_children_alive() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));

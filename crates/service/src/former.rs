@@ -14,7 +14,7 @@
 //! the worker's factorization runs the in-place lane engine with every
 //! group full and no scalar tail, and no element of a payload is copied
 //! more than once. The original stage-into-canonical-then-
-//! [`pack_batch_host`](ibcf_kernels::pack_batch_host) round trip (one
+//! [`pack_batch_host`] round trip (one
 //! extra full copy of the batch) survives only as [`IngestMode::Staged`],
 //! the bitwise oracle the fused path is property-tested against; the
 //! former itself always runs the fused path.

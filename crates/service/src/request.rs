@@ -268,7 +268,11 @@ pub enum ReplySink {
         /// Element type the reply frame must carry.
         dtype: Dtype,
     },
-    /// Arbitrary closure (tests, routing adapters, shard renumbering).
+    /// Arbitrary closure: tests, and the router's three recovery
+    /// wrappers (hedge take-once, loss guard, hedge copy). Those stay
+    /// boxed because each captures router state — the `RouterCore`, the
+    /// hedge's shared sink, the loss guard's slot cell — which a
+    /// concrete variant would pull into this module.
     Boxed(Box<dyn FnOnce(FactorReply) + Send + 'static>),
 }
 

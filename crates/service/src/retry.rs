@@ -50,13 +50,13 @@ impl RetryPolicy {
         }
     }
 
-    /// The router→shard reconnect policy: effectively unlimited attempts
-    /// (whether a shard is gone for good is the fleet supervisor's call,
-    /// not the connection's), 1 ms base, 100 ms cap. The same equal-jitter
-    /// schedule as [`RetryPolicy::standard`], so shard-side and
-    /// loadgen-side reconnects share one tested backoff implementation —
-    /// a `TcpShard` *gates* reconnect attempts on this schedule instead
-    /// of sleeping, keeping its submit path non-blocking.
+    /// The restart policy: effectively unlimited attempts (whether a
+    /// shard is gone for good is an operator's call, not the fleet's),
+    /// 1 ms base, 100 ms cap. It paces worker restarts after a panic and
+    /// shard-process respawns with the same equal-jitter schedule as
+    /// [`RetryPolicy::standard`], so every recovery loop shares one
+    /// tested backoff implementation. A respawn is *gated* on it rather
+    /// than slept on, so the health round never waits out a backoff.
     pub fn reconnect(seed: u64) -> RetryPolicy {
         RetryPolicy {
             max_attempts: u32::MAX,
@@ -168,8 +168,9 @@ mod tests {
             assert!(d >= p.base / 2, "attempt {attempt}: {d:?}");
             assert!(d <= p.cap, "attempt {attempt}: {d:?}");
         }
-        // Deep into the schedule the sleep sits in [cap/2, cap]: a dead
-        // shard is probed forever, but never more than ~10×/second.
+        // Deep into the schedule the sleep sits in [cap/2, cap]: a
+        // crash-looping shard is respawned forever, but never more than
+        // ~10×/second.
         assert!(p.backoff(10_000) >= p.cap / 2);
     }
 }

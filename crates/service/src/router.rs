@@ -8,11 +8,10 @@
 //! and keeps lane occupancy high:
 //!
 //! - a [`Router`] fronts N [`ShardBackend`]s — in-process services
-//!   ([`InProcessShard`]) or remote `ibcf serve` processes over TCP
-//!   ([`TcpShard`]);
-//! - requests route by [`RoutePolicy`]: rendezvous (highest-random-
-//!   weight) hashing of `(n, dtype)` for stable keys with minimal
-//!   movement on failover, or least-loaded by ingest-queue depth;
+//!   ([`InProcessShard`]) or `ibcf serve` processes over TCP
+//!   ([`ProcessShard`](crate::fleet::ProcessShard));
+//! - requests route by rendezvous (highest-random-weight) hashing of
+//!   `(n, dtype)`: stable keys, and minimal movement on failover;
 //! - a health thread probes every shard on a jittered cadence (each
 //!   slot's probe schedule is de-correlated from its neighbours', so a
 //!   recovering fleet is not hit by a thundering herd of simultaneous
@@ -25,8 +24,8 @@
 //!   routing set), a cooldown later it half-opens for a trial probe,
 //!   and a successful probe closes it again. States and trip counts
 //!   surface in [`ShardStat`]; transition totals in
-//!   [`FleetStat`](crate::stats::FleetStat);
-//! - when a shard *process* dies, its [`TcpShard`] pending map answers
+//!   [`FleetStat`];
+//! - when a shard *process* dies, its connection's pending map answers
 //!   every orphaned in-flight request with a typed
 //!   [`Outcome::ShardLost`]; the router intercepts the first loss and
 //!   transparently resubmits to a healthy shard (exactly once — a
@@ -42,11 +41,14 @@
 //!   [`RejectReason::Backpressure`] carrying a retry-after hint, and is
 //!   expected to resubmit no sooner than the hint (the load generator's
 //!   retry loop honors this);
-//! - the chaos harness kills whole shards deterministically through
-//!   [`FaultSite::RouterShard`](crate::fault::FaultSite) /
-//!   [`FaultAction::KillShard`]: the health loop drains the victim
+//! - the chaos harness kills shards deterministically through
+//!   [`FaultSite::RouterShard`](crate::fault::FaultSite): the health
+//!   loop drains the victim on [`FaultAction::KillShard`]
 //!   (already-admitted work is still answered — exactly-one-reply
-//!   survives shard death) and refuses to kill the last healthy shard.
+//!   survives shard death), SIGKILLs its process on
+//!   [`FaultAction::KillProcess`] ([`ShardBackend::crash`]), and
+//!   refuses to kill the last healthy shard either way. The same
+//!   probes reap and respawn dead shard processes.
 //!
 //! Both request kinds take this one path: a request's [`Kind`] rides
 //! along as a value — through failover, `ShardLost` resubmission and
@@ -57,19 +59,10 @@
 //! [`StatsSnapshot::merge`]) with a per-shard breakdown attached — a
 //! one-entry breakdown for a single server.
 
-use crate::codec::{
-    decode_factor_reply, encode_factor_req, read_frame, wire_deadline_us, write_frame,
-    K_FACTOR_REPLY,
-};
 use crate::fault::{FaultAction, FaultHook, FaultSite};
 use crate::request::{FactorReply, Kind, Outcome, Payload, RejectReason, ReplySink, SubmitRefusal};
-use crate::retry::RetryPolicy;
-use crate::server::TcpConn;
 use crate::service::{Client, Service};
 use crate::stats::{BreakerStat, FleetStat, ShardStat, StatsSnapshot};
-use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -98,15 +91,19 @@ pub trait ShardBackend: Send + Sync {
     /// `true` while the shard can accept new work (the health probe).
     fn probe(&self) -> bool;
 
-    /// Backlog estimate for least-loaded routing (queued requests).
-    fn load(&self) -> usize;
-
     /// The shard's own counters.
     fn stats(&self) -> StatsSnapshot;
 
     /// Stops admission on this shard (the deterministic shard kill).
     /// Already-admitted work must still drain to its sinks.
     fn kill(&self);
+
+    /// SIGKILLs the shard's process (the deterministic process fault).
+    /// Returns `true` if a live process was killed; a shard without a
+    /// process of its own has nothing to crash.
+    fn crash(&self) -> bool {
+        false
+    }
 
     /// `true` once every admitted request has been answered.
     fn drained(&self) -> bool;
@@ -166,10 +163,6 @@ impl ShardBackend for InProcessShard {
         self.client.is_accepting()
     }
 
-    fn load(&self) -> usize {
-        self.client.queue_depth()
-    }
-
     fn stats(&self) -> StatsSnapshot {
         self.client.stats()
     }
@@ -190,301 +183,9 @@ impl ShardBackend for InProcessShard {
     }
 }
 
-/// Requests in flight on one TCP shard connection, keyed by the wire id
-/// the shard sees (the router renumbers — caller ids are only unique per
-/// front-end connection, not fleet-wide).
-struct TcpPending {
-    map: HashMap<u64, (u64, ReplySink)>,
-    /// Set by the dying reader, under this lock, *before* it drains the
-    /// map — so a submitter holding the lock either sees `dead` or gets
-    /// its entry drained, never neither.
-    dead: bool,
-}
-
-struct TcpShardConn {
-    stream: TcpStream,
-    reader: JoinHandle<()>,
-    pending: Arc<Mutex<TcpPending>>,
-}
-
-/// Connection slot plus the reconnect-backoff ledger guarding it. The
-/// backoff *gates* rather than sleeps: a submit that arrives inside the
-/// backoff window is refused immediately (the router fails it over), so
-/// the submit path never blocks on a dead shard.
-struct TcpConnState {
-    conn: Option<TcpShardConn>,
-    /// Consecutive failed connect attempts; resets on success.
-    attempt: u32,
-    /// Earliest instant the next connect attempt is allowed, per the
-    /// shard's [`RetryPolicy`] equal-jitter schedule.
-    next_connect_at: Option<Instant>,
-}
-
-/// A shard behind a TCP connection to a remote `ibcf serve` process.
-///
-/// The router renumbers requests onto a private wire-id space, pumps
-/// replies back through a reader thread, and answers everything still in
-/// flight with a typed [`Outcome::ShardLost`] (idempotent — safe to
-/// resubmit, and the router resubmits the first loss itself) if the
-/// connection dies mid-stream. Reconnects follow the shared
-/// [`RetryPolicy`] equal-jitter backoff instead of hammering a dead
-/// address on every submit.
-pub struct TcpShard {
-    name: String,
-    addr: String,
-    next_wire_id: AtomicU64,
-    killed: AtomicBool,
-    retry: RetryPolicy,
-    state: Mutex<TcpConnState>,
-}
-
-impl TcpShard {
-    /// A shard that will lazily connect to `addr` on first use, with the
-    /// default reconnect backoff seeded from the address (deterministic
-    /// per shard, de-correlated across shards).
-    pub fn new(name: impl Into<String>, addr: impl Into<String>) -> TcpShard {
-        let addr = addr.into();
-        let seed = addr.bytes().fold(0xC0FFEEu64, |h, b| mix(h ^ u64::from(b)));
-        Self::with_retry(name, addr, RetryPolicy::reconnect(seed))
-    }
-
-    /// A shard with an explicit reconnect-backoff policy.
-    pub fn with_retry(
-        name: impl Into<String>,
-        addr: impl Into<String>,
-        retry: RetryPolicy,
-    ) -> TcpShard {
-        TcpShard {
-            name: name.into(),
-            addr: addr.into(),
-            next_wire_id: AtomicU64::new(1),
-            killed: AtomicBool::new(false),
-            retry,
-            state: Mutex::new(TcpConnState {
-                conn: None,
-                attempt: 0,
-                next_connect_at: None,
-            }),
-        }
-    }
-
-    /// Ensures a live connection exists, reaping a dead one first.
-    /// Returns `false` when the shard is unreachable *or* the reconnect
-    /// backoff window has not elapsed yet.
-    fn ensure_conn(&self, st: &mut TcpConnState) -> bool {
-        if let Some(c) = st.conn.as_ref() {
-            if !c.pending.lock().unwrap().dead {
-                return true;
-            }
-            let c = st.conn.take().unwrap();
-            // A loss-guard resubmission can re-enter from the dying
-            // reader itself (its drain callbacks run on that thread);
-            // joining ourselves would deadlock, so detach in that case.
-            if c.reader.thread().id() != std::thread::current().id() {
-                let _ = c.reader.join();
-            }
-        }
-        if let Some(t) = st.next_connect_at {
-            if Instant::now() < t {
-                return false;
-            }
-        }
-        let connected = TcpStream::connect(&self.addr)
-            .ok()
-            .and_then(|s| s.try_clone().ok().map(|r| (s, r)));
-        let Some((stream, read_half)) = connected else {
-            st.attempt += 1;
-            st.next_connect_at = Some(Instant::now() + self.retry.backoff(st.attempt));
-            return false;
-        };
-        st.attempt = 0;
-        st.next_connect_at = None;
-        stream.set_nodelay(true).ok();
-        let pending = Arc::new(Mutex::new(TcpPending {
-            map: HashMap::new(),
-            dead: false,
-        }));
-        let reader = {
-            let pending = pending.clone();
-            std::thread::Builder::new()
-                .name("ibcf-shard-reader".into())
-                .spawn(move || {
-                    let mut r = BufReader::new(read_half);
-                    loop {
-                        match read_frame(&mut r) {
-                            Ok(Some((K_FACTOR_REPLY, body))) => {
-                                let Ok(reply) = decode_factor_reply(&body) else {
-                                    break;
-                                };
-                                let entry = pending.lock().unwrap().map.remove(&reply.id);
-                                if let Some((caller_id, sink)) = entry {
-                                    sink.send(FactorReply {
-                                        id: caller_id,
-                                        outcome: reply.outcome,
-                                    });
-                                }
-                            }
-                            Ok(Some(_)) => {} // unexpected kind: ignore
-                            Ok(None) | Err(_) => break,
-                        }
-                    }
-                    // The connection is gone: everything still in flight
-                    // gets a typed shard-lost reply (resubmitting is
-                    // safe — the router does it once itself). `dead`
-                    // flips under the same lock, so no submitter can add
-                    // an entry nobody will ever answer.
-                    let drained: Vec<(u64, ReplySink)> = {
-                        let mut p = pending.lock().unwrap();
-                        p.dead = true;
-                        p.map.drain().map(|(_, v)| v).collect()
-                    };
-                    for (caller_id, sink) in drained {
-                        sink.send(FactorReply {
-                            id: caller_id,
-                            outcome: Outcome::ShardLost,
-                        });
-                    }
-                })
-                .expect("spawn shard reader")
-        };
-        st.conn = Some(TcpShardConn {
-            stream,
-            reader,
-            pending,
-        });
-        true
-    }
-}
-
-impl ShardBackend for TcpShard {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Both request kinds share one frame body; only the frame kind byte
-    /// ([`Kind::wire`]) tells the remote shard which pool to admit to.
-    fn try_submit(
-        &self,
-        kind: Kind,
-        id: u64,
-        n: usize,
-        payload: Payload,
-        deadline: Option<Instant>,
-        sink: ReplySink,
-    ) -> Result<(), SubmitRefusal> {
-        if self.killed.load(Ordering::SeqCst) {
-            return Err((RejectReason::ShuttingDown, payload, sink));
-        }
-        let mut st = self.state.lock().unwrap();
-        if !self.ensure_conn(&mut st) {
-            return Err((RejectReason::ShuttingDown, payload, sink));
-        }
-        let c = st.conn.as_mut().unwrap();
-        let wire_id = self.next_wire_id.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut p = c.pending.lock().unwrap();
-            if p.dead {
-                return Err((RejectReason::ShuttingDown, payload, sink));
-            }
-            p.map.insert(wire_id, (id, sink));
-        }
-        // Forward the *remaining* deadline; wire_deadline_us keeps an
-        // almost-expired one from truncating to "no deadline".
-        let wire_deadline =
-            wire_deadline_us(deadline.map(|d| d.saturating_duration_since(Instant::now())));
-        let body = encode_factor_req(wire_id, n, wire_deadline, &payload);
-        let mut w = &c.stream;
-        if write_frame(&mut w, kind.wire(), &body).is_err() {
-            c.stream.shutdown(Shutdown::Both).ok();
-            return match c.pending.lock().unwrap().map.remove(&wire_id) {
-                // We still own the sink: hand everything back.
-                Some((_, sink)) => Err((RejectReason::ShuttingDown, payload, sink)),
-                // The reader drained it first (typed crash reply went
-                // out): the request was answered, nothing to hand back.
-                None => Ok(()),
-            };
-        }
-        Ok(())
-    }
-
-    fn probe(&self) -> bool {
-        if self.killed.load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut st = self.state.lock().unwrap();
-        self.ensure_conn(&mut st)
-    }
-
-    fn load(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap()
-            .conn
-            .as_ref()
-            .map_or(0, |c| c.pending.lock().unwrap().map.len())
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        TcpConn::connect_with_timeout(&self.addr, Duration::from_secs(2))
-            .and_then(|mut c| c.fetch_stats())
-            .unwrap_or_default()
-    }
-
-    fn kill(&self) {
-        self.killed.store(true, Ordering::SeqCst);
-        if let Some(c) = self.state.lock().unwrap().conn.as_ref() {
-            // Wakes the reader, which answers all in-flight requests
-            // with typed shard-lost replies.
-            c.stream.shutdown(Shutdown::Both).ok();
-        }
-    }
-
-    fn drained(&self) -> bool {
-        self.load() == 0
-    }
-
-    fn shutdown(&self) {
-        self.kill();
-        if let Some(c) = self.state.lock().unwrap().conn.take() {
-            let _ = c.reader.join();
-        }
-    }
-
-    fn can_lose_inflight(&self) -> bool {
-        true
-    }
-}
-
-/// How the router picks a shard for a request key `(n, dtype)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// Rendezvous (highest-random-weight) hashing over the healthy
-    /// shards: a key always lands on the same shard while that shard
-    /// lives, and only the dead shard's keys move on failover — batch
-    /// formers keep seeing homogeneous traffic.
-    ConsistentHash,
-    /// The healthy shard with the shallowest ingest queue.
-    LeastLoaded,
-}
-
-impl std::str::FromStr for RoutePolicy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<RoutePolicy, String> {
-        match s {
-            "hash" | "consistent-hash" => Ok(RoutePolicy::ConsistentHash),
-            "least-loaded" | "load" => Ok(RoutePolicy::LeastLoaded),
-            other => Err(format!(
-                "unknown route policy {other} (use hash or least-loaded)"
-            )),
-        }
-    }
-}
-
 /// Router construction parameters.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Shard selection policy.
-    pub policy: RoutePolicy,
     /// Base health-probe cadence. Each slot's actual schedule adds a
     /// deterministic per-slot jitter (see [`probe_jitter`]) so N shards
     /// are never probed in lockstep.
@@ -492,8 +193,9 @@ pub struct RouterConfig {
     /// The retry-after hint handed out when the routed shard's queue is
     /// full. Should cover roughly one former flush cycle.
     pub retry_after_us: u32,
-    /// Fault hook for deterministic shard kills
-    /// ([`FaultSite::RouterShard`]).
+    /// Fault hook for deterministic shard kills and process crashes
+    /// ([`FaultSite::RouterShard`]); ticks once per healthy shard per
+    /// health round.
     pub fault: FaultHook,
     /// Consecutive connect/submit/probe failures before a slot's circuit
     /// breaker trips open.
@@ -512,7 +214,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            policy: RoutePolicy::ConsistentHash,
             health_interval: Duration::from_millis(10),
             retry_after_us: 1_000,
             fault: FaultHook::disabled(),
@@ -544,9 +245,9 @@ pub fn rendezvous_key(n: usize, dtype_tag: u8) -> u64 {
 }
 
 /// The rendezvous (highest-random-weight) owner of key `(n, dtype_tag)`
-/// among the slots whose `healthy[i]` is set: the pure core of
-/// [`RoutePolicy::ConsistentHash`], exposed so property tests can check
-/// stability under shard-set churn without standing up a fleet.
+/// among the slots whose `healthy[i]` is set: the pure core of the
+/// router's placement, exposed so property tests can check stability
+/// under shard-set churn without standing up a fleet.
 pub fn rendezvous_owner(n: usize, dtype_tag: u8, salts: &[u64], healthy: &[bool]) -> Option<usize> {
     let key = rendezvous_key(n, dtype_tag);
     (0..salts.len())
@@ -708,7 +409,6 @@ struct HedgeEntry {
 
 struct RouterCore {
     slots: Vec<ShardSlot>,
-    policy: RoutePolicy,
     retry_after_us: u32,
     breaker_threshold: u32,
     breaker_cooldown: Duration,
@@ -724,7 +424,7 @@ struct RouterCore {
     backpressured: AtomicU64,
     /// Submissions that had to skip a refusing shard.
     failovers: AtomicU64,
-    /// Shards actually killed by the fault plan.
+    /// Shards actually killed or crashed by the fault plan.
     kills: AtomicU64,
     /// Hedge copies dispatched to a second shard.
     hedges: AtomicU64,
@@ -741,21 +441,13 @@ struct RouterCore {
 }
 
 impl RouterCore {
-    /// Healthy slot indices ranked by the active policy for key
-    /// `(n, dtype)`.
+    /// Healthy slot indices in rendezvous order for key `(n, dtype)`.
     fn pick_order(&self, n: usize, dtype_tag: u8) -> Vec<usize> {
         let mut healthy: Vec<usize> = (0..self.slots.len())
             .filter(|&i| self.slots[i].healthy.load(Ordering::SeqCst))
             .collect();
-        match self.policy {
-            RoutePolicy::ConsistentHash => {
-                let key = rendezvous_key(n, dtype_tag);
-                healthy.sort_by_key(|&i| std::cmp::Reverse(mix(key ^ self.slots[i].salt)));
-            }
-            RoutePolicy::LeastLoaded => {
-                healthy.sort_by_key(|&i| (self.slots[i].backend.load(), i));
-            }
-        }
+        let key = rendezvous_key(n, dtype_tag);
+        healthy.sort_by_key(|&i| std::cmp::Reverse(mix(key ^ self.slots[i].salt)));
         healthy
     }
 
@@ -968,13 +660,22 @@ impl RouterCore {
         }
     }
 
-    /// One health round: maybe kill a shard (fault plan), drive breaker
-    /// cooldowns, re-probe every slot whose jittered schedule is due,
-    /// and fire due hedges.
+    /// One health round: maybe kill or crash a shard (fault plan),
+    /// drive breaker cooldowns, re-probe every slot whose jittered
+    /// schedule is due (a shard process's probe also reaps and respawns
+    /// a dead child), and fire due hedges.
     fn health_round(self: &Arc<Self>, fault: &FaultHook) {
         let round = self.rounds.fetch_add(1, Ordering::Relaxed);
         for slot in &self.slots {
-            if let Some(FaultAction::KillShard) = fault.check(FaultSite::RouterShard) {
+            // The plan ticks only on routable slots, so no firing is
+            // spent on a shard that is already down — a crashed child
+            // waits for its breaker to half-open before it respawns.
+            let fired = if slot.healthy.load(Ordering::SeqCst) {
+                fault.check(FaultSite::RouterShard)
+            } else {
+                None
+            };
+            if let Some(action) = fired {
                 let alive = self
                     .slots
                     .iter()
@@ -982,9 +683,21 @@ impl RouterCore {
                     .count();
                 // Never take the whole fleet down: the last healthy
                 // shard is immune.
-                if alive > 1 && !slot.killed.swap(true, Ordering::SeqCst) {
-                    slot.backend.kill();
+                let killed = alive > 1
+                    && match action {
+                        FaultAction::KillShard if !slot.killed.swap(true, Ordering::SeqCst) => {
+                            slot.backend.kill();
+                            true
+                        }
+                        FaultAction::KillProcess => slot.backend.crash(),
+                        _ => false,
+                    };
+                if killed {
+                    // The victim leaves the routing set at once, so the
+                    // next firing's immunity count is exact.
+                    slot.healthy.store(false, Ordering::SeqCst);
                     self.kills.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
             }
             if slot.breaker.try_half_open(self.breaker_cooldown) {
@@ -1065,9 +778,10 @@ pub struct Router {
 
 impl Router {
     /// Starts a router over `shards` with the given config. The health
-    /// thread probes every shard each `health_interval` and drives the
-    /// fault plan's shard kills; a one-slot router over a shard that
-    /// cannot fail on its own starts none.
+    /// thread probes every shard each `health_interval` (which also
+    /// reaps and respawns dead shard processes) and drives the fault
+    /// plan's kills; a one-slot router over a shard that cannot fail on
+    /// its own starts none.
     pub fn start(shards: Vec<Arc<dyn ShardBackend>>, cfg: RouterConfig) -> Router {
         assert!(!shards.is_empty(), "router needs at least one shard");
         let slots: Vec<ShardSlot> = shards
@@ -1085,7 +799,6 @@ impl Router {
             .collect();
         let core = Arc::new(RouterCore {
             slots,
-            policy: cfg.policy,
             retry_after_us: cfg.retry_after_us,
             breaker_threshold: cfg.breaker_threshold,
             breaker_cooldown: cfg.breaker_cooldown,
@@ -1137,7 +850,7 @@ impl Router {
         }
     }
 
-    /// Shards the fault plan killed.
+    /// Shards the fault plan killed or crashed.
     pub fn kills(&self) -> u64 {
         self.core.kills.load(Ordering::Relaxed)
     }
@@ -1154,6 +867,8 @@ impl Router {
 
     /// Stops the health thread, drains and shuts every shard down, and
     /// returns the final fleet snapshot (per-shard breakdown attached).
+    /// The health thread is joined first, so no probe can respawn a
+    /// shard process once the drain began.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.core.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.health.take() {
@@ -1230,7 +945,6 @@ mod tests {
     use crate::engine::EngineSelector;
     use crate::fault::FaultPlan;
     use crate::service::ServiceConfig;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
     /// A scripted backend: refuses with a fixed reason, or accepts and
@@ -1239,12 +953,13 @@ mod tests {
     /// next submit while still probing healthy (a shard that dies
     /// between health rounds), to *lose* the next accepted request
     /// (typed `ShardLost`, like a process death), or to *hold* accepted
-    /// sinks unanswered (a straggler, for hedging tests).
+    /// sinks unanswered (a straggler, for hedging tests). A `crash`
+    /// is recorded and refuses from then on, like a SIGKILLed process.
     struct TestBackend {
         name: String,
         refuse: Mutex<Option<RejectReason>>,
         accepted: Mutex<Vec<(u64, Kind)>>,
-        load: AtomicUsize,
+        crashed: AtomicBool,
         refuse_next: AtomicBool,
         can_lose: AtomicBool,
         lose_next: AtomicBool,
@@ -1258,7 +973,7 @@ mod tests {
                 name: name.to_string(),
                 refuse: Mutex::new(None),
                 accepted: Mutex::new(Vec::new()),
-                load: AtomicUsize::new(0),
+                crashed: AtomicBool::new(false),
                 refuse_next: AtomicBool::new(false),
                 can_lose: AtomicBool::new(false),
                 lose_next: AtomicBool::new(false),
@@ -1347,10 +1062,6 @@ mod tests {
             )
         }
 
-        fn load(&self) -> usize {
-            self.load.load(Ordering::Relaxed)
-        }
-
         fn stats(&self) -> StatsSnapshot {
             StatsSnapshot {
                 requests: self.accepted.lock().unwrap().len() as u64,
@@ -1360,6 +1071,12 @@ mod tests {
 
         fn kill(&self) {
             self.refuse_with(Some(RejectReason::ShuttingDown));
+        }
+
+        fn crash(&self) -> bool {
+            self.refuse_with(Some(RejectReason::ShuttingDown));
+            // A second crash finds no live process to kill.
+            !self.crashed.swap(true, Ordering::SeqCst)
         }
 
         fn drained(&self) -> bool {
@@ -1528,50 +1245,48 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_picks_the_shallowest_queue() {
-        let f = fakes(2);
-        let cfg = RouterConfig {
-            policy: RoutePolicy::LeastLoaded,
-            ..RouterConfig::default()
-        };
-        let router = Router::start(as_backends(&f), cfg);
-        let client = router.client();
-        f[0].load.store(5, Ordering::Relaxed);
-        assert!(call(&client, 1, 4).outcome.is_ok());
-        assert_eq!(f[1].accepted_ids(), vec![1]);
-        f[0].load.store(0, Ordering::Relaxed);
-        f[1].load.store(9, Ordering::Relaxed);
-        assert!(call(&client, 2, 4).outcome.is_ok());
-        assert_eq!(f[0].accepted_ids(), vec![2]);
-        router.shutdown();
-    }
-
-    #[test]
     fn fault_plan_kills_shards_but_never_the_last_one() {
-        let f = fakes(2);
-        let cfg = RouterConfig {
-            health_interval: Duration::from_millis(1),
-            fault: FaultHook::from_plan(FaultPlan::shard_kill(99)),
-            ..RouterConfig::default()
-        };
-        let router = Router::start(as_backends(&f), cfg);
-        let client = router.client();
-        // Let the health loop run well past both budgeted kill firings.
-        let t0 = Instant::now();
-        while router.kills() == 0 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(2));
+        // Two shards: the second budgeted kill must be refused. Three:
+        // both kills land on live shards, even where the plan's period
+        // is a multiple of the shard count (proc-kill seed 99), so no
+        // firing is spent on the shard the first one took down.
+        for shards in [2usize, 3] {
+            for plan in [FaultPlan::shard_kill(99), FaultPlan::proc_kill(99)] {
+                let name = plan.name;
+                let f = fakes(shards);
+                let cfg = RouterConfig {
+                    health_interval: Duration::from_millis(1),
+                    fault: FaultHook::from_plan(plan),
+                    ..RouterConfig::default()
+                };
+                let router = Router::start(as_backends(&f), cfg);
+                let client = router.client();
+                // Let the health loop run well past both budgeted kill firings.
+                let kills = shards as u64 - 1;
+                let t0 = Instant::now();
+                while router.kills() < kills && t0.elapsed() < Duration::from_secs(5) {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                std::thread::sleep(Duration::from_millis(100));
+                assert_eq!(
+                    router.kills(),
+                    kills,
+                    "{name}/{shards}: the last healthy shard must be immune, no other"
+                );
+                let alive = f.iter().filter(|b| b.probe()).count();
+                assert_eq!(alive, 1, "{name}/{shards}: exactly one shard must survive");
+                // A process kill crashes its victims; a shard kill drains them.
+                let crashed = f
+                    .iter()
+                    .filter(|b| b.crashed.load(Ordering::SeqCst))
+                    .count();
+                let want = if name == "proc-kill" { shards - 1 } else { 0 };
+                assert_eq!(crashed, want, "{name}/{shards}");
+                // And the survivor still serves.
+                assert!(call(&client, 1, 4).outcome.is_ok());
+                router.shutdown();
+            }
         }
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(
-            router.kills(),
-            1,
-            "the second budgeted kill must be refused (last healthy shard)"
-        );
-        let alive = f.iter().filter(|b| b.probe()).count();
-        assert_eq!(alive, 1, "exactly one shard must survive");
-        // And the survivor still serves.
-        assert!(call(&client, 1, 4).outcome.is_ok());
-        router.shutdown();
     }
 
     #[test]

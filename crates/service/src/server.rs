@@ -10,7 +10,10 @@
 //! channel — worker threads finish batches concurrently, and a reply
 //! frame must hit the socket atomically). A `shutdown` frame triggers a
 //! *graceful drain*: admission stops, every already-admitted request is
-//! answered, then the ack goes out and the accept loop stops.
+//! answered, then the ack goes out and the accept loop stops. The accept
+//! loop blocks in `accept` — an idle server wakes for nothing — so the
+//! connection that handled the shutdown frame wakes it with one last
+//! connection of its own.
 //!
 //! Failure containment: a malformed or torn frame ([`FrameError`]) costs
 //! exactly the connection it arrived on — the accept loop keeps serving
@@ -26,7 +29,7 @@ use crate::fault::{FaultAction, FaultHook, FaultSite};
 use crate::request::{FactorReply, Kind, Payload, ReplySink};
 use crate::router::RouterClient;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
@@ -185,31 +188,22 @@ fn conn_loop(stream: TcpStream, client: RouterClient, hook: FaultHook) -> io::Re
 }
 
 /// The TCP front-end. Owns the listener; [`TcpServer::run`] blocks until
-/// a client sends a shutdown frame (or [`TcpServer::stop_flag`] is
-/// flagged from another thread).
+/// a client sends a shutdown frame.
 pub struct TcpServer {
     listener: TcpListener,
-    stop: Arc<AtomicBool>,
 }
 
 impl TcpServer {
     /// Binds to `addr` (use port 0 for an ephemeral port).
     pub fn bind(addr: &str) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
         Ok(TcpServer {
-            listener,
-            stop: Arc::new(AtomicBool::new(false)),
+            listener: TcpListener::bind(addr)?,
         })
     }
 
     /// The bound address (reports the real port after binding to port 0).
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// A flag that stops the accept loop when set from another thread.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        self.stop.clone()
     }
 
     /// [`TcpServer::run_with_faults`] with the injector disabled.
@@ -217,46 +211,48 @@ impl TcpServer {
         self.run_with_faults(client, FaultHook::disabled())
     }
 
-    /// Accepts and serves connections until a shutdown frame arrives or
-    /// the stop flag is set. Returns once every connection thread joined,
-    /// leaving the router itself to the caller to shut down. The hook
-    /// injects connection-level faults on every accepted stream.
+    /// Accepts and serves connections until a shutdown frame arrives.
+    /// Returns once every connection thread joined, leaving the router
+    /// itself to the caller to shut down. The hook injects
+    /// connection-level faults on every accepted stream.
     pub fn run_with_faults(&self, client: RouterClient, hook: FaultHook) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        // Where the shutdown connection dials to wake the blocked accept.
+        let mut wake = self.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         // Clones of every accepted stream, so the drain path below can
         // wake readers idling in a blocking read.
         let registry: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nodelay(true).ok();
-                    if let Ok(clone) = stream.try_clone() {
-                        registry.lock().unwrap().push(clone);
-                    }
-                    let client = client.clone();
-                    let stop = self.stop.clone();
-                    let hook = hook.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("ibcf-conn".into())
-                        .spawn(move || {
-                            match conn_loop(stream, client, hook) {
-                                Ok(true) => stop.store(true, Ordering::SeqCst),
-                                Ok(false) => {}
-                                // A broken connection kills itself, not
-                                // the server.
-                                Err(_) => {}
-                            }
-                        })
-                        .expect("spawn connection thread");
-                    conns.push(handle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(e),
+        loop {
+            let (stream, _peer) = self.listener.accept()?;
+            if stop.load(Ordering::SeqCst) {
+                break; // the wake-up connection (or a late client): dropped
             }
             conns.retain(|h| !h.is_finished());
+            stream.set_nodelay(true).ok();
+            if let Ok(clone) = stream.try_clone() {
+                registry.lock().unwrap().push(clone);
+            }
+            let client = client.clone();
+            let stop = stop.clone();
+            let hook = hook.clone();
+            let handle = std::thread::Builder::new()
+                .name("ibcf-conn".into())
+                .spawn(move || {
+                    // A broken connection kills itself, not the server.
+                    if let Ok(true) = conn_loop(stream, client, hook) {
+                        stop.store(true, Ordering::SeqCst);
+                        TcpStream::connect(wake).ok();
+                    }
+                })
+                .expect("spawn connection thread");
+            conns.push(handle);
         }
         // Give idle connections an EOF (shutting down only the read half
         // lets their writers flush any reply still in flight), so every
@@ -500,8 +496,8 @@ mod tests {
 
     #[test]
     fn routed_fleet_serves_tcp_and_backpressure_is_honored_end_to_end() {
+        use crate::fleet::ProcessShard;
         use crate::loadgen::{self, ArrivalMode, LoadgenConfig};
-        use crate::router::TcpShard;
 
         // Two shards with tiny ingest queues: a 48-deep closed-loop
         // window must overflow them, so the fleet hands out real
@@ -534,7 +530,7 @@ mod tests {
                         let served = serve(tiny(), hinted());
                         let addr = served.1.to_string();
                         shard_servers.push(served);
-                        Arc::new(TcpShard::new(name, addr))
+                        Arc::new(ProcessShard::connect(name, addr))
                     } else {
                         Arc::new(InProcessShard::new(name, tiny()))
                     }

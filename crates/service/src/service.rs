@@ -27,8 +27,8 @@
 //! `catch_unwind`, so a panic (a kernel bug, or one injected by the
 //! chaos harness) costs only that job — its requests get a typed
 //! [`Outcome::WorkerCrashed`] reply — and the supervisor restarts the
-//! worker on the [`RetryPolicy::reconnect`] backoff schedule that fleet
-//! respawn and `TcpShard` reconnect share. The pools keep separate
+//! worker on the [`RetryPolicy::reconnect`] backoff schedule that
+//! shard-process respawn also follows. The pools keep separate
 //! queues on purpose: with one shared queue a small request could wait
 //! behind a multi-millisecond DAG (head-of-line blocking). Combined with
 //! deadline shedding — in the former before packing, in the large pool
@@ -584,12 +584,6 @@ impl Client {
             + s.replies_failed.load(Ordering::Acquire)
             + s.deadline_expired.load(Ordering::Acquire);
         answered >= s.requests.load(Ordering::Relaxed)
-    }
-
-    /// Requests queued but not yet drained into a batch — the router's
-    /// least-loaded signal.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue.len()
     }
 
     /// `true` while the ingest queue still admits new work; flips false
