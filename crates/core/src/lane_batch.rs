@@ -28,12 +28,12 @@
 
 use crate::error::CholeskyError;
 use crate::host_batch::{factorize_batch, BatchReport};
-use crate::lane_simd::{Autovec, LaneBackend, LaneOps, SimdIsa};
+use crate::isa::{dispatch, IsaCall, SimdIsa};
+use crate::lane_simd::{Autovec, LaneBackend, LaneOps};
 use crate::scalar::Real;
 use crate::sync_slice::SyncSlice;
 use ibcf_layout::{alloc_batch, transcode_into, tri, BatchLayout, Chunked};
 use rayon::prelude::*;
-use std::any::TypeId;
 
 /// Loop order of the lane-vectorized unblocked factorization — the
 /// unblocked counterparts of [`crate::blocked::Looking`]'s right- and
@@ -199,7 +199,7 @@ unsafe fn read_block<T: Real, const LANES: usize>(shared: &SyncSlice<T>, off: us
 /// is required to be bitwise-identical to the scalar `sqrt`/`recip`.
 ///
 /// # Safety
-/// The caller must own the group's blocks (see [`factor_group`]) and, if
+/// The caller must own the group's blocks (see [`factor_group_ops`]) and, if
 /// `O` is an intrinsic backend, guarantee its ISA is present (see
 /// [`LaneOps`]).
 #[inline(always)]
@@ -259,19 +259,21 @@ unsafe fn pivot_step<T: Real, O: LaneOps<T>, const LANES: usize>(
 /// `(i, j)`) must be in bounds and not concurrently accessed by any other
 /// thread. If `O` is an intrinsic backend its ISA must be present (see
 /// [`LaneOps`]).
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn factor_group_ops<T: Real, O: LaneOps<T>, const LANES: usize>(
-    n: usize,
-    shared: &SyncSlice<T>,
-    base: usize,
-    rs: usize,
-    cs: usize,
-    order: LaneOrder,
-    first_mat: usize,
-    live: usize,
-    snap: &mut [T],
+    group: Group<'_, T>,
 ) -> Vec<(usize, CholeskyError)> {
+    let Group {
+        n,
+        shared,
+        base,
+        rs,
+        cs,
+        order,
+        first_mat,
+        live,
+        snap,
+    } = group;
     let off = |i: usize, j: usize| base + i * rs + j * cs;
     // Snapshot the lower triangle so masked lanes can be restored bitwise.
     debug_assert!(snap.len() >= tri(n) * LANES);
@@ -357,6 +359,59 @@ unsafe fn factor_group_ops<T: Real, O: LaneOps<T>, const LANES: usize>(
     out
 }
 
+/// One lane group's operands: matrix `first_mat + l` in lane `l` of the
+/// blocks `base + i·rs + j·cs`, `live` of them real, with `snap` holding
+/// the pre-factorization lower triangle (see [`factor_group_ops`]).
+struct Group<'a, T> {
+    n: usize,
+    shared: &'a SyncSlice<'a, T>,
+    base: usize,
+    rs: usize,
+    cs: usize,
+    order: LaneOrder,
+    first_mat: usize,
+    live: usize,
+    snap: &'a mut [T],
+}
+
+/// Routes a [`Group`] through the ISA seam: one `#[target_feature]`
+/// shell per (ISA, element type), the autovectorized body otherwise.
+struct GroupCall<const LANES: usize>;
+
+impl<const LANES: usize> IsaCall for GroupCall<LANES> {
+    type Of<'a, E: Real> = Group<'a, E>;
+    type Out = Vec<(usize, CholeskyError)>;
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    unsafe fn f32(isa: SimdIsa, group: Group<'_, f32>) -> Self::Out {
+        // SAFETY: the ISA is present and the group is owned (the
+        // caller's contract).
+        unsafe {
+            match isa {
+                SimdIsa::Avx512 => isa_kernels::avx512_f32::<LANES>(group),
+                _ => isa_kernels::avx2_f32::<LANES>(group),
+            }
+        }
+    }
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    unsafe fn f64(isa: SimdIsa, group: Group<'_, f64>) -> Self::Out {
+        // SAFETY: as in `f32`.
+        unsafe {
+            match isa {
+                SimdIsa::Avx512 => isa_kernels::avx512_f64::<LANES>(group),
+                _ => isa_kernels::avx2_f64::<LANES>(group),
+            }
+        }
+    }
+
+    unsafe fn fallback<E: Real>(group: Group<'_, E>) -> Self::Out {
+        // SAFETY: the group is owned (the caller's contract); `Autovec`
+        // needs no ISA.
+        unsafe { factor_group_ops::<E, Autovec, LANES>(group) }
+    }
+}
+
 /// Monomorphic `#[target_feature]` shells around [`factor_group_ops`].
 ///
 /// Intrinsics only inline into callers whose target-feature set is a
@@ -374,24 +429,13 @@ mod isa_kernels {
             /// # Safety
             /// Same contract as [`factor_group_ops`]; additionally the
             /// CPU must support the wrapper's target features.
-            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
             pub(super) unsafe fn $name<const LANES: usize>(
-                n: usize,
-                shared: &SyncSlice<$ty>,
-                base: usize,
-                rs: usize,
-                cs: usize,
-                order: LaneOrder,
-                first_mat: usize,
-                live: usize,
-                snap: &mut [$ty],
+                group: Group<'_, $ty>,
             ) -> Vec<(usize, CholeskyError)> {
-                unsafe {
-                    factor_group_ops::<$ty, $ops, LANES>(
-                        n, shared, base, rs, cs, order, first_mat, live, snap,
-                    )
-                }
+                // SAFETY: the caller's contract, and the ISA `$ops` needs
+                // is this shell's target feature.
+                unsafe { factor_group_ops::<$ty, $ops, LANES>(group) }
             }
         };
     }
@@ -400,72 +444,6 @@ mod isa_kernels {
     isa_wrapper!(avx2_f64, f64, Avx2, "avx2");
     isa_wrapper!(avx512_f32, f32, Avx512, "avx512f,avx512vl");
     isa_wrapper!(avx512_f64, f64, Avx512, "avx512f,avx512vl");
-}
-
-/// Routes one group to the kernel for `isa`, falling back to the
-/// autovectorized body for element types without an intrinsic kernel.
-///
-/// The public API is generic over `T: Real` but the intrinsic kernels are
-/// monomorphic, so the bridge is a `TypeId` check plus a same-type
-/// pointer cast (sound: the branch is only taken when `T` *is* the
-/// concrete type, and `Real: 'static` makes the check exact).
-///
-/// # Safety
-/// Same contract as [`factor_group_ops`]; `isa` must have been obtained
-/// from [`crate::lane_simd::detect_isa`]-guarded resolution so the ISA is
-/// actually present.
-#[allow(clippy::too_many_arguments)]
-unsafe fn dispatch_group<T: Real, const LANES: usize>(
-    isa: SimdIsa,
-    n: usize,
-    shared: &SyncSlice<T>,
-    base: usize,
-    rs: usize,
-    cs: usize,
-    order: LaneOrder,
-    first_mat: usize,
-    live: usize,
-    snap: &mut [T],
-) -> Vec<(usize, CholeskyError)> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if isa != SimdIsa::Fallback {
-        if TypeId::of::<T>() == TypeId::of::<f32>() {
-            let shared = unsafe { &*(shared as *const SyncSlice<T> as *const SyncSlice<f32>) };
-            let snap = unsafe { &mut *(snap as *mut [T] as *mut [f32]) };
-            return match isa {
-                SimdIsa::Avx512 => unsafe {
-                    isa_kernels::avx512_f32::<LANES>(
-                        n, shared, base, rs, cs, order, first_mat, live, snap,
-                    )
-                },
-                _ => unsafe {
-                    isa_kernels::avx2_f32::<LANES>(
-                        n, shared, base, rs, cs, order, first_mat, live, snap,
-                    )
-                },
-            };
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            let shared = unsafe { &*(shared as *const SyncSlice<T> as *const SyncSlice<f64>) };
-            let snap = unsafe { &mut *(snap as *mut [T] as *mut [f64]) };
-            return match isa {
-                SimdIsa::Avx512 => unsafe {
-                    isa_kernels::avx512_f64::<LANES>(
-                        n, shared, base, rs, cs, order, first_mat, live, snap,
-                    )
-                },
-                _ => unsafe {
-                    isa_kernels::avx2_f64::<LANES>(
-                        n, shared, base, rs, cs, order, first_mat, live, snap,
-                    )
-                },
-            };
-        }
-    }
-    let _ = isa;
-    unsafe {
-        factor_group_ops::<T, Autovec, LANES>(n, shared, base, rs, cs, order, first_mat, live, snap)
-    }
 }
 
 fn run_groups<T: Real, L: BatchLayout + Sync, const LANES: usize>(
@@ -488,25 +466,23 @@ fn run_groups<T: Real, L: BatchLayout + Sync, const LANES: usize>(
             let first = g * LANES;
             let live = LANES.min(batch - first);
             let mut snap = vec![T::ZERO; tri_len];
+            let group = Group {
+                n,
+                shared: &shared,
+                base: plan.bases[g],
+                rs: plan.rs,
+                cs: plan.cs,
+                order,
+                first_mat: first,
+                live,
+                snap: &mut snap,
+            };
             // SAFETY: the plan validated that group `g` owns the blocks
             // `bases[g] + i·rs + j·cs .. + LANES` in bounds; the layout
             // address map is injective, so groups are pairwise disjoint,
             // and each group is processed by exactly one worker. `isa`
             // comes from detect_isa-guarded resolution.
-            let fails = unsafe {
-                dispatch_group::<T, LANES>(
-                    isa,
-                    n,
-                    &shared,
-                    plan.bases[g],
-                    plan.rs,
-                    plan.cs,
-                    order,
-                    first,
-                    live,
-                    &mut snap,
-                )
-            };
+            let fails = unsafe { dispatch::<GroupCall<LANES>, T>(isa, group) };
             if fails.is_empty() {
                 None
             } else {

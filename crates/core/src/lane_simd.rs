@@ -25,47 +25,13 @@
 //! * reciprocals are an exact division `1.0 / x`, never the approximate
 //!   `rcp` instructions.
 //!
-//! Dispatch resolution order: the `simd` cargo feature gates whether the
-//! intrinsic kernels are compiled at all; the `IBCF_SIMD` environment
-//! variable (`off`/`autovec`, `avx2`, `avx512`, `auto`) can force a lower
-//! tier at runtime (CI uses it to keep the fallback from rotting); and
-//! feature detection picks the widest available ISA otherwise. On
-//! non-x86 targets (and with the feature disabled) everything falls back
-//! to the autovectorized path — on `aarch64` that path already emits
-//! NEON, because NEON is part of the baseline ISA the compiler may
-//! always assume, so there is no last-mile gap to close there.
+//! The ISA comes from the crate's one seam, [`crate::isa`]: the
+//! [`LaneBackend`] resolves to [`detect_isa`] (or forces the fallback),
+//! and `lane_batch` reaches its `#[target_feature]` shells through the
+//! seam's one generic-to-monomorphic bridge.
 
+use crate::isa::{detect_isa, SimdIsa};
 use crate::scalar::Real;
-use std::sync::OnceLock;
-
-/// The instruction set a lane kernel was dispatched to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdIsa {
-    /// 512-bit AVX-512F/VL kernels (16 × f32 / 8 × f64 per instruction).
-    Avx512,
-    /// 256-bit AVX2 kernels (8 × f32 / 4 × f64 per instruction).
-    Avx2,
-    /// The autovectorized `[T; LANES]` path (whatever the compiler's
-    /// baseline target allows — SSE2 on default x86-64, NEON on aarch64).
-    Fallback,
-}
-
-impl SimdIsa {
-    /// Short lowercase name used in reports (`avx512`, `avx2`, `autovec`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdIsa::Avx512 => "avx512",
-            SimdIsa::Avx2 => "avx2",
-            SimdIsa::Fallback => "autovec",
-        }
-    }
-}
-
-impl std::fmt::Display for SimdIsa {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Which engine a lane factorization runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,43 +65,6 @@ impl LaneBackend {
             LaneBackend::Autovec => "autovec",
         }
     }
-}
-
-/// The ISA the [`LaneBackend::Auto`] path dispatches to on this machine:
-/// feature detection, clipped by the `IBCF_SIMD` environment override and
-/// the `simd` cargo feature. Detection runs once per process.
-pub fn detect_isa() -> SimdIsa {
-    static ISA: OnceLock<SimdIsa> = OnceLock::new();
-    *ISA.get_or_init(|| {
-        if !cfg!(feature = "simd") {
-            return SimdIsa::Fallback;
-        }
-        let ceiling = match std::env::var("IBCF_SIMD").as_deref() {
-            Ok("off") | Ok("autovec") | Ok("scalar") => return SimdIsa::Fallback,
-            Ok("avx2") => SimdIsa::Avx2,
-            _ => SimdIsa::Avx512, // `avx512`, `auto`, unset, or unknown
-        };
-        detect_hardware(ceiling)
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_hardware(ceiling: SimdIsa) -> SimdIsa {
-    if ceiling == SimdIsa::Avx512
-        && std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512vl")
-    {
-        return SimdIsa::Avx512;
-    }
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return SimdIsa::Avx2;
-    }
-    SimdIsa::Fallback
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_hardware(_ceiling: SimdIsa) -> SimdIsa {
-    SimdIsa::Fallback
 }
 
 /// The three elementwise block primitives of the lane-vectorized

@@ -23,9 +23,12 @@
 //! * [`lane_batch`] — the lane-vectorized in-place batch factorization:
 //!   the host-side analogue of the paper's warp-coalesced interleaved
 //!   kernels, several times faster than the gather/scatter baseline.
+//! * [`isa`] — the one ISA seam: runtime detection ([`detect_isa`],
+//!   clipped by `IBCF_SIMD`) and the bridge to the monomorphic
+//!   AVX2/AVX-512 shells of the lane and tile kernels.
 //! * [`lane_simd`] — explicit AVX2/AVX-512 implementations of the lane
-//!   block primitives with runtime ISA dispatch (autovectorized fallback),
-//!   bitwise-identical to the scalar oracle.
+//!   block primitives (autovectorized fallback), bitwise-identical to the
+//!   scalar oracle.
 //! * [`tiled`] — task-graph blocked Cholesky for *one large* matrix: a
 //!   dependency-counted POTRF/TRSM/SYRK/GEMM DAG over 128-byte-aligned
 //!   tile slots, executed sequentially (per-Looking reference replays) or
@@ -40,6 +43,7 @@ pub mod cond;
 pub mod error;
 pub mod flops;
 pub mod host_batch;
+pub mod isa;
 pub mod lane_batch;
 pub mod lane_simd;
 pub mod matrix;
@@ -56,12 +60,13 @@ pub mod verify;
 pub use blocked::{potrf_blocked, Looking};
 pub use cond::{batch_cond_estimate, cond_estimate};
 pub use error::CholeskyError;
+pub use isa::{detect_isa, SimdIsa};
 pub use lane_batch::{
     factorize_batch_auto, factorize_batch_auto_backend, factorize_batch_lanes,
     factorize_batch_lanes_backend, factorize_batch_lanes_with, lane_compatible, preferred_lanes,
     LaneOrder, LaneWidth,
 };
-pub use lane_simd::{detect_isa, LaneBackend, SimdIsa};
+pub use lane_simd::LaneBackend;
 pub use matrix::ColMatrix;
 pub use reference::potrf_unblocked;
 pub use scalar::Real;

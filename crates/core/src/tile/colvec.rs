@@ -1,5 +1,7 @@
-//! Column-vectorized tile microkernels — the large-tile leaves of the
-//! task-graph factorization (`core::tiled`).
+//! Column-vectorized tile microkernels — the task-graph factorization's
+//! (`core::tiled`) leaves on the fallback ISA, the ragged-edge path of the
+//! register-blocked leaves ([`TileLeaves`](super::TileLeaves)), and the
+//! bitwise reference those are tested against.
 //!
 //! The runtime-size kernels in [`ops`](super::ops) mirror the paper's
 //! generated device code: their innermost loops walk tile *rows*, which in
@@ -10,7 +12,8 @@
 //!
 //! These variants compute the same operations with the loops interchanged
 //! so every innermost loop runs down one tile *column* with stride 1 — the
-//! shape the autovectorizer reliably turns into packed FMAs. Loop
+//! shape the autovectorizer reliably turns into packed multiplies and
+//! subtracts (Rust never contracts them into FMAs). Loop
 //! interchange only reorders *independent* element updates; the per-element
 //! sequence of operations is unchanged, so:
 //!
@@ -29,7 +32,9 @@
 //! The combination of `potrf_tile`, `trsm_tile_colvec`, `syrk_tile_colvec`
 //! and `gemm_tile_colvec`, applied in any topological order of the tiled
 //! dependency DAG with ascending-`k` accumulation, reproduces
-//! `potrf_unblocked` bit for bit — the property `core::tiled` builds on.
+//! `potrf_unblocked` bit for bit — the property `core::tiled` builds on,
+//! and the one its register-blocked leaves keep by matching these kernels
+//! element for element.
 
 // BLAS-shaped signatures: explicit dims and strides per operand.
 #![allow(clippy::too_many_arguments)]

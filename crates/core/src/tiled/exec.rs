@@ -2,9 +2,17 @@
 //!
 //! Both run the same leaves on the same [`TileStore`]:
 //!
-//! * `Potrf` — [`potrf_tile`] (stride-1 column ops already);
-//! * `Trsm` — [`trsm_tile_colvec`];
-//! * `Update` — [`syrk_tile_colvec`] / [`gemm_tile_colvec`].
+//! * `Potrf` — [`potrf_tile`] (stride-1 column ops already), on every
+//!   ISA;
+//! * `Trsm`, and `Update` (SYRK on a diagonal tile, GEMM elsewhere) — the
+//!   [`TileLeaves`] of the ISA [`detect_isa`](crate::detect_isa) resolves,
+//!   once per DAG run: register-blocked micro-kernels on AVX-512 (f32
+//!   32 × 4, f64 16 × 4) and AVX2 (f32 16 × 4, f64 8 × 4), and the
+//!   `colvec` kernels ([`trsm_tile_colvec`](crate::tile::trsm_tile_colvec),
+//!   [`syrk_tile_colvec`](crate::tile::syrk_tile_colvec),
+//!   [`gemm_tile_colvec`](crate::tile::gemm_tile_colvec)) on the fallback —
+//!   `IBCF_SIMD=off`, a build without the `simd` feature, or a CPU
+//!   without AVX2 — and on edges a register block does not fill.
 //!
 //! Because every `(i, j)` tile receives its updates in ascending `k`
 //! (the serialization chain in [`graph`](super::graph)) and each leaf
@@ -22,11 +30,7 @@
 //! under the same lock, and a `Condvar` parking idle workers. Worker
 //! loops are hosted on the rayon pool (`into_par_iter().for_each`), which
 //! the vendored shim maps to one scoped thread per worker; leaves write
-//! disjoint tiles through a [`SyncSlice`]. Explicit-SIMD (`lane_simd`)
-//! leaves are deliberately *not* dispatched here: its `LaneOps` vectorize
-//! one element across 8–32 *matrices* with per-lane operands, while a
-//! tile leaf needs scalar-broadcast column AXPYs — the stride-1 `colvec`
-//! loops already autovectorize to exactly those.
+//! disjoint tiles through a [`SyncSlice`].
 //!
 //! On a non-SPD or non-finite pivot the scheduler is poisoned: in-flight
 //! tasks finish, waiting workers wake and exit, and the error reports the
@@ -40,22 +44,33 @@ use crate::blocked::Looking;
 use crate::error::CholeskyError;
 use crate::scalar::Real;
 use crate::sync_slice::SyncSlice;
-use crate::tile::{gemm_tile_colvec, potrf_tile, syrk_tile_colvec, trsm_tile_colvec};
+use crate::tile::{potrf_tile, TileLeaves};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
 
 /// Geometry the leaves need, copied out of the store so the tile buffer
-/// can be wrapped in a [`SyncSlice`] independently.
+/// can be wrapped in a [`SyncSlice`] independently, plus the leaves
+/// themselves: the ISA is resolved once per DAG run, not once per task.
 #[derive(Clone, Copy)]
 struct Geom {
     n: usize,
     nb: usize,
     tile_stride: usize,
+    leaves: TileLeaves,
 }
 
 impl Geom {
+    fn of<T: Real>(store: &TileStore<T>) -> Self {
+        Geom {
+            n: store.n(),
+            nb: store.nb(),
+            tile_stride: store.tile_len(),
+            leaves: TileLeaves::detect(),
+        }
+    }
+
     #[inline]
     fn dim(&self, b: usize) -> usize {
         self.nb.min(self.n - b * self.nb)
@@ -106,7 +121,7 @@ unsafe fn run_task<T: Real>(
             // exclusively ours.
             let l = unsafe { tiles.block(g.offset(k, k), g.tile_stride) };
             let b = unsafe { tiles.block_mut(g.offset(i, k), g.tile_stride) };
-            trsm_tile_colvec(di, dk, l, g.nb, b, g.nb);
+            g.leaves.trsm(di, dk, l, g.nb, b, g.nb);
             Ok(())
         }
         Task::Update { i, j, k } => {
@@ -116,10 +131,10 @@ unsafe fn run_task<T: Real>(
             let a = unsafe { tiles.block(g.offset(i, k), g.tile_stride) };
             let c = unsafe { tiles.block_mut(g.offset(i, j), g.tile_stride) };
             if i == j {
-                syrk_tile_colvec(dj, dk, a, g.nb, c, g.nb);
+                g.leaves.syrk(dj, dk, a, g.nb, c, g.nb);
             } else {
                 let b = unsafe { tiles.block(g.offset(j, k), g.tile_stride) };
-                gemm_tile_colvec(di, dj, dk, a, g.nb, b, g.nb, c, g.nb);
+                g.leaves.gemm(di, dj, dk, a, g.nb, b, g.nb, c, g.nb);
             }
             Ok(())
         }
@@ -133,11 +148,7 @@ pub fn factor_store_seq<T: Real>(
     graph: &TaskGraph,
     looking: Looking,
 ) -> Result<(), CholeskyError> {
-    let g = Geom {
-        n: store.n(),
-        nb: store.nb(),
-        tile_stride: store.tile_len(),
-    };
+    let g = Geom::of(store);
     let order = graph.sequential_order(looking);
     let tiles = SyncSlice::new(store.data_mut());
     for id in order {
@@ -167,11 +178,7 @@ pub fn factor_store_par<T: Real>(
     threads: usize,
 ) -> Result<(), CholeskyError> {
     let threads = threads.max(1);
-    let g = Geom {
-        n: store.n(),
-        nb: store.nb(),
-        tile_stride: store.tile_len(),
-    };
+    let g = Geom::of(store);
     let order = graph.sequential_order(looking);
     let mut rank = vec![0u32; graph.len()];
     for (r, &id) in order.iter().enumerate() {

@@ -17,7 +17,9 @@
 //! * [`exec`] — a sequential reference replay per
 //!   [`Looking`](crate::blocked::Looking) order and a dependency-counted
 //!   parallel executor on the rayon pool, both driving the
-//!   `core::tile` microkernels (the stride-1 `colvec` forms) as leaves.
+//!   `core::tile` microkernels as leaves: register-blocked on AVX2 and
+//!   AVX-512 ([`TileLeaves`](crate::tile::TileLeaves)), the stride-1
+//!   `colvec` forms otherwise.
 //!
 //! Entry points: [`potrf_tiled`] (parallel), [`potrf_tiled_seq`] (the
 //! bitwise-identical sequential replay), and the store-level functions

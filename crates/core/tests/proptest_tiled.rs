@@ -13,7 +13,9 @@
 //!   order across workers.
 
 use ibcf_core::spd::{random_spd, SpdKind};
-use ibcf_core::{potrf_tiled_seq, potrf_tiled_threads, potrf_unblocked, CholeskyError, Looking};
+use ibcf_core::{
+    potrf_tiled_seq, potrf_tiled_threads, potrf_unblocked, CholeskyError, Looking, Real,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -174,33 +176,42 @@ proptest! {
     }
 }
 
-/// One deterministic large case at the top of the issue's range: n = 512
-/// would take minutes under proptest's case count in debug builds, so it
-/// runs once, not 12 times.
-#[test]
-fn tiled_matches_oracle_at_n512() {
+/// The served tile edge (nb = 32) on full tiles: one deterministic
+/// n = 512 case per precision (proptest's case count would take minutes
+/// at this size in debug builds). Every executor must reproduce the
+/// unblocked oracle **bitwise** — perfbench's large-factor check compares
+/// against `potrf_tiled_seq` of the same build, so only this test sees a
+/// leaf that drifts from the oracle.
+fn assert_n512_matches_oracle_bitwise<T: Real>(seed: u64) {
     let n = 512;
-    let mut rng = StdRng::seed_from_u64(0xD1A6);
-    let a0 = random_spd::<f32>(n, SpdKind::Wishart, &mut rng).into_vec();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a0 = random_spd::<T>(n, SpdKind::Wishart, &mut rng).into_vec();
     let mut oracle = a0.clone();
     potrf_unblocked(n, &mut oracle, n).unwrap();
+    let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+    let want = bits(&oracle);
     for looking in Looking::ALL {
         let mut seq = a0.clone();
         potrf_tiled_seq(n, &mut seq, n, 32, looking).unwrap();
+        assert!(
+            bits(&seq) == want,
+            "n=512 {looking:?}: sequential != oracle bitwise"
+        );
         let mut par = a0.clone();
         potrf_tiled_threads(n, &mut par, n, 32, looking, 4).unwrap();
         assert!(
-            par.iter()
-                .zip(&seq)
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "n=512 {looking:?}: parallel != sequential bitwise"
+            bits(&par) == want,
+            "n=512 {looking:?}: parallel != oracle bitwise"
         );
-        let worst = seq
-            .iter()
-            .zip(&oracle)
-            .map(|(&t, &o)| ulp_f32(t, o))
-            .max()
-            .unwrap();
-        assert!(worst <= 4, "n=512 {looking:?}: worst ulp {worst} > 4");
     }
+}
+
+#[test]
+fn tiled_matches_oracle_at_n512() {
+    assert_n512_matches_oracle_bitwise::<f32>(0xD1A6);
+}
+
+#[test]
+fn tiled_matches_oracle_at_n512_f64() {
+    assert_n512_matches_oracle_bitwise::<f64>(0xD1A7);
 }

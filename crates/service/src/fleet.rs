@@ -490,13 +490,17 @@ impl ShardBackend for ProcessShard {
             self.stats();
             // Graceful drain: shutdown frame, wait for the ack (the child
             // answers everything admitted first).
-            let _ = TcpConn::connect_with_timeout(&addr, Duration::from_secs(5))
-                .and_then(|mut c| c.shutdown_server());
-            // Reap with a bounded wait; a child that ignores the protocol
-            // is SIGKILLed rather than leaked.
+            let acked = TcpConn::connect_with_timeout(&addr, Duration::from_secs(5))
+                .and_then(|mut c| c.shutdown_server())
+                .is_ok();
+            // An acknowledging child is exiting: reap it with a bounded
+            // wait. One that never acknowledged (refused, closed, or
+            // answered something else) is not going to exit on its own,
+            // so it is SIGKILLed at once; so is an acknowledging child
+            // that outlives the wait — neither is leaked.
             let deadline = Instant::now() + Duration::from_secs(5);
             let mut exited = false;
-            while Instant::now() < deadline {
+            while acked && Instant::now() < deadline {
                 if matches!(child.try_wait(), Ok(Some(_))) {
                     exited = true;
                     break;

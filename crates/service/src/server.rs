@@ -32,7 +32,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -187,6 +187,24 @@ fn conn_loop(stream: TcpStream, client: RouterClient, hook: FaultHook) -> io::Re
     result.map(|()| shutdown)
 }
 
+/// The accept loop's pause after running out of file descriptors.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// How long the accept loop pauses after a transient `accept` error
+/// before accepting again, or `None` when the error is fatal. A peer
+/// that aborted before the accept, or a signal, retries at once; running
+/// out of file descriptors, in the process (EMFILE) or the system
+/// (ENFILE), waits a little for finishing connections to release theirs.
+fn accept_retry_pause(e: &io::Error) -> Option<Duration> {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    match e.kind() {
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted => Some(Duration::ZERO),
+        _ if matches!(e.raw_os_error(), Some(ENFILE | EMFILE)) => Some(ACCEPT_RETRY_PAUSE),
+        _ => None,
+    }
+}
+
 /// The TCP front-end. Owns the listener; [`TcpServer::run`] blocks until
 /// a client sends a shutdown frame.
 pub struct TcpServer {
@@ -225,20 +243,29 @@ impl TcpServer {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
-        let mut conns: Vec<JoinHandle<()>> = Vec::new();
-        // Clones of every accepted stream, so the drain path below can
-        // wake readers idling in a blocking read.
-        let registry: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        // Each live connection's thread, beside a clone of its stream so
+        // the drain path below can wake a reader idling in a blocking
+        // read. Both go together once the thread finishes.
+        let mut conns: Vec<(JoinHandle<()>, Option<TcpStream>)> = Vec::new();
         loop {
-            let (stream, _peer) = self.listener.accept()?;
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                // A transient error costs this connection, not the server.
+                Err(e) => match accept_retry_pause(&e) {
+                    Some(pause) => {
+                        std::thread::sleep(pause);
+                        conns.retain(|(h, _)| !h.is_finished());
+                        continue;
+                    }
+                    None => return Err(e),
+                },
+            };
             if stop.load(Ordering::SeqCst) {
                 break; // the wake-up connection (or a late client): dropped
             }
-            conns.retain(|h| !h.is_finished());
+            conns.retain(|(h, _)| !h.is_finished());
             stream.set_nodelay(true).ok();
-            if let Ok(clone) = stream.try_clone() {
-                registry.lock().unwrap().push(clone);
-            }
+            let clone = stream.try_clone().ok();
             let client = client.clone();
             let stop = stop.clone();
             let hook = hook.clone();
@@ -252,15 +279,15 @@ impl TcpServer {
                     }
                 })
                 .expect("spawn connection thread");
-            conns.push(handle);
+            conns.push((handle, clone));
         }
         // Give idle connections an EOF (shutting down only the read half
         // lets their writers flush any reply still in flight), so every
         // reader unblocks and its thread joins.
-        for stream in registry.lock().unwrap().drain(..) {
+        for stream in conns.iter().filter_map(|(_, s)| s.as_ref()) {
             stream.shutdown(Shutdown::Read).ok();
         }
-        for handle in conns {
+        for (handle, _) in conns {
             handle
                 .join()
                 .map_err(|_| io::Error::other("connection thread panicked"))?;
@@ -454,6 +481,60 @@ mod tests {
         assert_eq!(stats.replies_ok, 1);
 
         conn.shutdown_server().unwrap();
+        server.join().unwrap().unwrap();
+        router.shutdown();
+    }
+
+    /// This process's open descriptors on TCP sockets whose local port is
+    /// `port`: the server's listener and the server side of each of its
+    /// connections — immune to what tests running alongside open.
+    fn fds_on_port(port: u16) -> usize {
+        let mut sockets = std::collections::HashSet::new();
+        for table in ["/proc/self/net/tcp", "/proc/self/net/tcp6"] {
+            let Ok(text) = std::fs::read_to_string(table) else {
+                continue;
+            };
+            for row in text.lines().skip(1) {
+                let cols: Vec<&str> = row.split_whitespace().collect();
+                let local_port = cols
+                    .get(1)
+                    .and_then(|addr| addr.rsplit(':').next())
+                    .and_then(|hex| u16::from_str_radix(hex, 16).ok());
+                if let (Some(p), Some(inode)) = (local_port, cols.get(9)) {
+                    if p == port {
+                        sockets.insert(format!("socket:[{inode}]"));
+                    }
+                }
+            }
+        }
+        std::fs::read_dir("/proc/self/fd")
+            .expect("procfs")
+            .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+            .filter(|target| sockets.contains(target.to_string_lossy().as_ref()))
+            .count()
+    }
+
+    #[test]
+    fn connection_churn_does_not_leak_descriptors() {
+        let (router, addr, server) = start_server();
+        let before = fds_on_port(addr.port());
+        // One connection at a time, each served (a stats round trip) and
+        // closed: a server that keeps anything per finished connection
+        // grows by one descriptor each.
+        for _ in 0..300 {
+            let mut conn = TcpConn::connect(&addr.to_string()).unwrap();
+            conn.fetch_stats().unwrap();
+        }
+        let after = fds_on_port(addr.port());
+        assert!(
+            after <= before + 8,
+            "300 closed connections left {} descriptors open ({before} -> {after})",
+            after.saturating_sub(before)
+        );
+        TcpConn::connect(&addr.to_string())
+            .unwrap()
+            .shutdown_server()
+            .unwrap();
         server.join().unwrap().unwrap();
         router.shutdown();
     }
